@@ -27,15 +27,10 @@ from pathlib import Path
 from repro.cluster import ClusterCoordinator
 from repro.core.config import small_test_config
 from repro.engine import run_scenario_single
-from repro.obs import Observability, Stopwatch
+from repro.obs import Observability
 from repro.reporting import exact_top_k, format_table, run_cluster_scaling
 from repro.telemetry import TelemetryConfig
-from repro.traffic import (
-    generate_scenario,
-    list_scenarios,
-    scenario_block,
-    scenario_descriptors,
-)
+from repro.traffic import generate_scenario, list_scenarios, scenario_descriptors
 
 PACKETS = int(os.environ.get("CLUSTER_BENCH_PACKETS", "4000"))
 NODE_COUNTS = (1, 2, 4)
@@ -130,71 +125,6 @@ def test_failover_accounting_is_exact(bench_emit):
         "failover_migrated_flows": coordinator.flows_migrated,
         "failover_lost_flows": coordinator.flows_lost,
         "failover_relearned_flows": relearned,
-    })
-
-
-def test_columnar_ingest_matches_and_outpaces_object_path(bench_emit):
-    """Block ingest through the ring: same books, faster host-side.
-
-    One ``DescriptorBlock`` rides ``ClusterCoordinator.ingest`` end to end
-    (vectorised ring lookup, per-node block slices, bulk probes, columnar
-    telemetry) and must produce byte-identical ``flow_books()`` and merged
-    top-k versus the object-path ingest of the same stream, while ingesting
-    faster on the host.  The measured rates join ``BENCH_cluster.json``.
-    """
-    packets = max(800, PACKETS // 2)
-    config = TelemetryConfig(heavy_hitter_capacity=8 * packets)
-    descriptors = scenario_descriptors("zipf_mix", packets, seed=37)
-    block = scenario_block("zipf_mix", packets, seed=37)
-
-    def drive(feed):
-        coordinator = ClusterCoordinator(
-            nodes=3, telemetry_config=config, telemetry_seed=37, batch_size=256
-        )
-        watch = Stopwatch()
-        coordinator.ingest(feed)
-        return coordinator, watch.elapsed_s
-
-    # Interleave the paired runs so scheduler or allocator drift across the
-    # measurement window hits both representations alike.
-    object_runs, block_runs = [], []
-    for _ in range(3):
-        object_runs.append(drive(descriptors))
-        block_runs.append(drive(block))
-    obj, object_wall = object_runs[0][0], min(w for _, w in object_runs)
-    col, block_wall = block_runs[0][0], min(w for _, w in block_runs)
-
-    assert col.cluster_totals() == obj.cluster_totals()
-    assert col.flow_books() == obj.flow_books()
-    assert col.flow_books()["balanced"]
-    merged_obj = obj.merged_telemetry()
-    merged_col = col.merged_telemetry()
-    top = lambda merged: [
-        (hitter.key, hitter.count)
-        for hitter in sorted(
-            merged.heavy_hitters.entries(), key=lambda h: (-h.count, h.key)
-        )[:TOP_K]
-    ]
-    assert top(merged_col) == top(merged_obj)
-
-    speedup = object_wall / block_wall
-    assert speedup > 1.0, (object_wall, block_wall)
-    print()
-    print(format_table(
-        [
-            {
-                "packets": packets,
-                "object_mdesc_s": round(packets / object_wall / 1e6, 3),
-                "columnar_mdesc_s": round(packets / block_wall / 1e6, 3),
-                "speedup": round(speedup, 2),
-            }
-        ],
-        title="cluster block ingest vs object ingest — zipf_mix (3 nodes)",
-    ))
-    bench_emit("cluster", {
-        "ingest_object_mdesc_s": round(packets / object_wall / 1e6, 4),
-        "ingest_columnar_mdesc_s": round(packets / block_wall / 1e6, 4),
-        "ingest_columnar_speedup": round(speedup, 2),
     })
 
 

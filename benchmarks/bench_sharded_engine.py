@@ -1,11 +1,12 @@
 """Sharded engine — aggregate throughput scaling versus shard count.
 
 No paper reference: this is the scale-out extension of the prototype.  Two
-properties are checked.  First, aggregate (simulated) throughput scales with
-the shard count on the realistic ``zipf_mix`` workload — at least 2x with 4
-shards versus 1.  Second, sharding is *transparent*: for every named
-scenario, the sharded engine's hit / miss / new-flow totals equal the
-single-LUT per-packet path's, because flows are pinned to shards by key hash.
+properties are checked.  First, aggregate (simulated) throughput of N
+cycle-accurate devices behind the engine's steering scales with the shard
+count on the realistic ``zipf_mix`` workload — at least 2x with 4 shards
+versus 1.  Second, sharding is *transparent*: for every named scenario, the
+sharded engine's hit / miss / new-flow totals equal the single-LUT
+per-packet path's, because flows are pinned to shards by key hash.
 
 Set ``SHARDED_BENCH_PACKETS`` to shrink or grow the workload (CI smoke runs
 use a small value).
@@ -17,7 +18,7 @@ from repro.core.config import small_test_config
 from repro.engine import ShardedFlowLUT, sharded_vs_single
 from repro.obs import Observability, Stopwatch
 from repro.reporting import format_table, run_sharded_scaling
-from repro.traffic import list_scenarios, scenario_block, scenario_descriptors
+from repro.traffic import list_scenarios, scenario_descriptors
 
 PACKETS = int(os.environ.get("SHARDED_BENCH_PACKETS", "4000"))
 SHARD_COUNTS = (1, 2, 4, 8)
@@ -66,78 +67,12 @@ def test_sharded_matches_single_path_on_every_scenario():
                 "hits": sharded.hits,
                 "misses": sharded.misses,
                 "new_flows": sharded.new_flows,
-                "sharded_mdesc_s": round(sharded.throughput_mdesc_s, 2),
-                "single_mdesc_s": round(single.throughput_mdesc_s, 2),
                 "equivalent": comparison["equivalent"],
             }
         )
         assert comparison["equivalent"], (name, sharded.totals(), single.totals())
     print()
     print(format_table(rows, title=f"sharded vs single-LUT totals ({packets} packets each)"))
-
-
-def test_columnar_ingest_speedup_gate(bench_emit):
-    """Columnar hot-path acceptance: >= 3x faster host-side ingest.
-
-    The same workload is driven through ``process_batch`` twice — once as
-    descriptor lists (before), once as ``DescriptorBlock`` slices (after) —
-    and the host wall clock is compared best-of-3.  Outcome totals must be
-    identical; the per-path rates land in ``BENCH_sharded_engine.json`` next
-    to the simulated-throughput trajectory.  (The per-shard-count breakdown
-    lives in ``bench_columnar_hot_path.py`` / ``BENCH_columnar.json``.)
-    """
-    packets = max(800, PACKETS // 2)
-    batch = 256
-    descriptors = scenario_descriptors("zipf_mix", packets, seed=17)
-    block = scenario_block("zipf_mix", packets, seed=17)
-
-    def drive_objects():
-        engine = ShardedFlowLUT(shards=4, config=small_test_config())
-        watch = Stopwatch()
-        for offset in range(0, packets, batch):
-            engine.process_batch(descriptors[offset : offset + batch])
-        return engine, watch.elapsed_s
-
-    def drive_block():
-        engine = ShardedFlowLUT(shards=4, config=small_test_config())
-        watch = Stopwatch()
-        for offset in range(0, packets, batch):
-            engine.process_batch(block.take(range(offset, min(offset + batch, packets))))
-        return engine, watch.elapsed_s
-
-    # Interleaved pairs: drift across the window hits both paths alike.
-    object_runs, block_runs = [], []
-    for _ in range(3):
-        object_runs.append(drive_objects())
-        block_runs.append(drive_block())
-    object_engine, object_wall = object_runs[0][0], min(w for _, w in object_runs)
-    block_engine, block_wall = block_runs[0][0], min(w for _, w in block_runs)
-
-    assert (block_engine.completed, block_engine.hits, block_engine.new_flows) == (
-        object_engine.completed, object_engine.hits, object_engine.new_flows
-    )
-    speedup = object_wall / block_wall
-    assert speedup >= 3.0, (object_wall, block_wall)
-
-    object_rate = packets / object_wall / 1e6
-    columnar_rate = packets / block_wall / 1e6
-    print()
-    print(format_table(
-        [
-            {
-                "packets": packets,
-                "object_mdesc_s": round(object_rate, 3),
-                "columnar_mdesc_s": round(columnar_rate, 3),
-                "speedup": round(speedup, 2),
-            }
-        ],
-        title="columnar vs object host-side ingest — acceptance gate (4 shards)",
-    ))
-    bench_emit("sharded_engine", {
-        "ingest_object_mdesc_s": round(object_rate, 4),
-        "ingest_columnar_mdesc_s": round(columnar_rate, 4),
-        "ingest_columnar_speedup": round(speedup, 2),
-    })
 
 
 def _drive(descriptors, obs, batch_size=256):
@@ -152,18 +87,17 @@ def _drive(descriptors, obs, batch_size=256):
 def test_obs_instrumentation_overhead_smoke(bench_emit):
     """The observability overhead gate (ISSUE 6 + ISSUE 8 acceptance).
 
-    Simulated throughput — the figure every benchmark reports — must be
-    unchanged by instrumentation (the obs plane reads the host clock, not
-    the simulated one), and the host-side wall-clock cost of the enabled
-    path must stay small.  Since ISSUE 8 the instrumented twin runs the
-    *full* time-resolved plane — metrics plus tumbling windows plus span
-    tracing at the default 1-in-16 sampling — so the gate covers what a
-    production run would actually enable.  Wall-clock is compared
-    best-of-3 so a CI scheduler hiccup cannot flip the gate; the bound is
-    deliberately loose (1.5x) because the acceptance threshold (<= 5%) is
-    asserted on the simulated figure and the measured host ratio is
-    *reported* in BENCH_sharded_engine.json where the trajectory can be
-    watched.
+    Simulated results must be unchanged by instrumentation (the obs plane
+    reads the host clock, not the simulated one) — the obs-on and obs-off
+    runs execute one ingest body, over a recording or a no-op stage timer —
+    and the host-side wall-clock cost of the enabled path must stay small.
+    The instrumented run carries the *full* time-resolved plane — metrics
+    plus tumbling windows plus span tracing at the default 1-in-16
+    sampling — so the gate covers what a production run would actually
+    enable.  Wall-clock is compared best-of-3 so a CI scheduler hiccup
+    cannot flip the gate; the bound is deliberately loose (1.5x) and the
+    measured host ratio is *reported* in BENCH_sharded_engine.json where
+    the trajectory can be watched.
     """
     packets = max(800, PACKETS // 2)
     descriptors = scenario_descriptors("zipf_mix", packets, seed=17)
@@ -185,8 +119,6 @@ def test_obs_instrumentation_overhead_smoke(bench_emit):
         plain_engine.hits, plain_engine.misses, plain_engine.new_flows
     )
     assert obs_engine.elapsed_ps == plain_engine.elapsed_ps
-    ratio = obs_engine.throughput_mdesc_s / plain_engine.throughput_mdesc_s
-    assert abs(ratio - 1.0) <= 0.05
 
     # Host-side cost of the instrumented twin stays bounded.
     wall_ratio = obs_wall / plain_wall if plain_wall > 0 else 1.0
@@ -195,7 +127,7 @@ def test_obs_instrumentation_overhead_smoke(bench_emit):
     registry = obs_engine.obs
     stage_count = registry.histogram(
         "repro_engine_stage_ns",
-        "Host-side duration of each batch stage (hash/steer/probe/drain/pack/telemetry)",
+        "Host-side duration of each batch stage (hash/steer/probe/pack/telemetry)",
         labels=("stage",),
     )
     samples = {labels["stage"]: child.count for labels, child in stage_count.samples()}
@@ -222,12 +154,8 @@ def test_obs_instrumentation_overhead_smoke(bench_emit):
                 "plain_wall_ms": round(plain_wall * 1e3, 1),
                 "obs_wall_ms": round(obs_wall * 1e3, 1),
                 "host_wall_ratio": round(wall_ratio, 3),
-                "sim_throughput_ratio": round(ratio, 4),
             }
         ],
         title="observability overhead — instrumented vs plain sharded engine",
     ))
-    bench_emit("sharded_engine", {
-        "obs_host_wall_ratio": round(wall_ratio, 3),
-        "obs_sim_throughput_ratio": round(ratio, 4),
-    })
+    bench_emit("sharded_engine", {"obs_host_wall_ratio": round(wall_ratio, 3)})

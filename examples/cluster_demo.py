@@ -39,7 +39,7 @@ def main() -> None:
     print(f"  completed {totals['completed']}, hits {totals['hits']}, "
           f"misses {totals['misses']}, new flows {totals['new_flows']}")
     print(f"  aggregate throughput: {coordinator.throughput_mdesc_s:.1f} Mdesc/s "
-          f"(slowest-node wall clock)")
+          f"(steady-state envelope of the slowest node)")
     imbalance = coordinator.imbalance_report()
     print(f"  load imbalance: {imbalance['load_imbalance']:.2f}x  "
           f"(overloaded: {imbalance['overloaded'] or 'none'})")

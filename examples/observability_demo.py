@@ -8,7 +8,7 @@ the `repro.obs` plane captured without touching any simulated figure:
 * the **Prometheus text exposition** — fleet gauges, per-node flow books
   and telemetry-sketch occupancy, ready for a scrape endpoint,
 * **hot-path stage timings** — host-side histograms of the sharded
-  engine's steer/probe/drain stages, with bucket-resolution quantiles,
+  engine's hash/steer/probe/pack stages, with bucket-resolution quantiles,
 * the **JSON snapshot** — the same registry as one machine-readable
   document (the shape embedded in ``BENCH_*.json`` trajectory files),
 * the **time-resolved plane** — tumbling windows on the *simulated*

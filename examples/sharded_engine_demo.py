@@ -36,7 +36,7 @@ def main() -> None:
     print(f"  completed {engine.completed}, hits {engine.hits}, misses {engine.misses}, "
           f"new flows {engine.new_flows}")
     print(f"  aggregate throughput: {engine.throughput_mdesc_s:.1f} Mdesc/s "
-          f"(slowest-shard wall clock)")
+          f"(steady-state envelope of the slowest shard)")
     print(f"  shard loads: {engine.shard_completed}  "
           f"(imbalance {engine.load_imbalance:.2f}x)")
     print(f"  telemetry saw {pipeline.packets} packets in {engine.batches} batch calls")

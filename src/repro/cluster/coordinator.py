@@ -348,113 +348,71 @@ class ClusterCoordinator:
         walk = self.ring.lookup_n(key_bytes, self.replication + 1)
         return [node_id for node_id in walk if node_id != pinned][: self.replication - 1]
 
-    def route(self, descriptors: Sequence) -> Dict[str, List]:
-        """Partition a descriptor batch by owner (order kept per node).
-
-        Owners are materialised lazily — only nodes that actually receive a
-        descriptor get a list — so a small segment costs O(batch), not
-        O(fleet): the eager ``{node: [] for node in fleet}`` build dominated
-        small-segment workloads on large fleets.  The mapping's iteration
-        order is therefore first-appearance; order-sensitive callers
-        (:meth:`ingest`) iterate membership order and index into it.  Pin
-        overrides are honoured; the unpinned case keeps the bare-ring loop.
-        """
-        groups: Dict[str, List] = {}
-        lookup = self.ring.lookup
-        pins = self._pins
-        for descriptor in descriptors:
-            key_bytes = descriptor.key_bytes
-            if pins:
-                owner = pins.get(key_bytes)
-                if owner is None:
-                    owner = lookup(key_bytes)
-            else:
-                owner = lookup(key_bytes)
-            bucket = groups.get(owner)
-            if bucket is None:
-                bucket = groups[owner] = []
-            bucket.append(descriptor)
-        return groups
-
-    def _steer_works(self, descriptors, columnar: bool, size: int, trace: bool) -> List[NodeWork]:
+    def _steer_works(self, block: DescriptorBlock, size: int, trace: bool) -> List[NodeWork]:
         """Partition one segment into per-node :class:`NodeWork` units.
 
-        Object batches are routed per descriptor (:meth:`route`); blocks
-        with one vectorised ring pass
+        One vectorised ring pass
         (:meth:`~repro.cluster.ring.HashRing.lookup_column`) and a
-        per-owner row gather.  Either way the works come out in membership
+        per-owner row gather.  The works come out in membership
         order — the order the sequential loop visits nodes — which is what
         makes the barrier's replication/checkpoint/span ordering (and so
         every downstream stream) executor-independent.  A single-member
         fleet skips hashing entirely: every key belongs to the one node.
         """
         collect = self.replication > 1
-        spans = self.obs.spans if self.obs is not None else None
-        span_clock = spans.clock if (trace and spans is not None) else None
+        # ``trace`` means the segment's root span was sampled, so spans exist.
+        span_clock = self.obs.spans.clock if trace else None
         trace = trace and not self.executor.ships_state
-        works: List[NodeWork] = []
 
-        def work_for(node_id: str, group, packets: int) -> NodeWork:
+        def work_for(node_id: str, group: DescriptorBlock) -> NodeWork:
             return NodeWork(
                 node_id=node_id,
                 node=self.nodes[node_id],
                 group=group,
                 batch_size=size,
-                packets=packets,
                 collect_outcomes=collect,
                 trace=trace,
                 span_clock=span_clock,
             )
 
-        count = len(descriptors)
         if len(self.nodes) == 1:
             (node_id,) = self.nodes
-            if count:
-                works.append(work_for(node_id, descriptors, count))
-        elif columnar:
-            owners = self.ring.lookup_column(
-                descriptors.key_data, count, descriptors.key_width
-            )
-            if self._pins:
-                # Pin overrides ride on top of the vectorised ring pass:
-                # only the pinned rows are patched, so the common all-ring
-                # block keeps the single-searchsorted fast path.
-                pins = self._pins
-                for row, key_bytes in enumerate(descriptors.keys()):
-                    pinned = pins.get(key_bytes)
-                    if pinned is not None:
-                        owners[row] = pinned
-            rows: Dict[str, List[int]] = {}
-            for row, owner in enumerate(owners):
-                bucket = rows.get(owner)
-                if bucket is None:
-                    bucket = rows[owner] = []
-                bucket.append(row)
-            for node_id in self.nodes:
-                indices = rows.get(node_id)
-                if indices:
-                    works.append(
-                        work_for(node_id, descriptors.take(indices), len(indices))
-                    )
-        else:
-            groups = self.route(descriptors)
-            for node_id in self.nodes:
-                group = groups.get(node_id)
-                if group:
-                    works.append(work_for(node_id, group, len(group)))
-        return works
+            return [work_for(node_id, block)]
+        owners = self.ring.lookup_column(block.key_data, len(block), block.key_width)
+        if self._pins:
+            # Pin overrides ride on top of the vectorised ring pass:
+            # only the pinned rows are patched, so the common all-ring
+            # block keeps the single-searchsorted fast path.
+            pins = self._pins
+            for row, key_bytes in enumerate(block.keys()):
+                pinned = pins.get(key_bytes)
+                if pinned is not None:
+                    owners[row] = pinned
+        rows: Dict[str, List[int]] = {}
+        for row, owner in enumerate(owners):
+            bucket = rows.get(owner)
+            if bucket is None:
+                bucket = rows[owner] = []
+            bucket.append(row)
+        return [
+            work_for(node_id, block.take(rows[node_id]))
+            for node_id in self.nodes
+            if node_id in rows
+        ]
 
     def ingest(self, descriptors, batch_size: Optional[int] = None) -> dict:
         """Steer one stream segment across the fleet in per-node batches.
 
         Every descriptor is routed to exactly one alive node and processed
-        there in sub-batches of ``batch_size``; nodes are independent
-        devices, so the wall-clock cost of a segment is the slowest node's
-        simulated time.  Accepts either a descriptor sequence (timed
-        reference path) or a :class:`~repro.columns.DescriptorBlock` —
-        blocks are steered with one vectorised ring pass and each node
-        bulk-probes its slice.  Returns the per-node packet counts of this
-        call.
+        there in sub-batches of ``batch_size``.  The segment is a
+        :class:`~repro.columns.DescriptorBlock`; a descriptor sequence is
+        packed into one first — the whole sequence, before any node, book
+        or obs counter is touched, so a descriptor outside the standard
+        5-tuple layout raises ``ValueError`` and changes nothing.  Blocks
+        are steered with one vectorised ring pass and each node bulk-probes
+        its slice.  Returns the per-node packet counts of this call; an
+        empty segment is not a segment (nothing is counted, traced or
+        advanced).
 
         The segment is a steer → fan-out → barrier pipeline: steering runs
         on the caller thread, the per-node works run on :attr:`executor`
@@ -467,16 +425,19 @@ class ClusterCoordinator:
         size = self.batch_size if batch_size is None else batch_size
         if size <= 0:
             raise ValueError("batch_size must be positive")
-        columnar = isinstance(descriptors, DescriptorBlock)
-        count = len(descriptors)
-        spans = self.obs.spans if self.obs is not None else None
+        block = (
+            descriptors
+            if isinstance(descriptors, DescriptorBlock)
+            else DescriptorBlock.from_descriptors(descriptors)
+        )
+        count = len(block)
         per_node: Dict[str, int] = {}
+        if not count:
+            return {"packets": 0, "per_node": per_node}
+        spans = self.obs.spans if self.obs is not None else None
         t_start = time.perf_counter_ns()
-        root_attrs = {"packets": count}
-        if columnar:
-            root_attrs["columnar"] = True
         with (
-            spans.root("ingest_batch", **root_attrs)
+            spans.root("ingest_batch", packets=count)
             if spans is not None
             else nullcontext()
         ):
@@ -485,9 +446,7 @@ class ClusterCoordinator:
             # subtree (engines' recorders are parked for the duration).
             parent_id = spans.current_id if spans is not None else None
             with spans.span("steer") if spans is not None else nullcontext():
-                works = self._steer_works(
-                    descriptors, columnar, size, trace=parent_id is not None
-                )
+                works = self._steer_works(block, size, trace=parent_id is not None)
             t_steered = time.perf_counter_ns()
             results = self.executor.run(works)
             # Barrier, pass 1 — adopt worker state.  A process executor
@@ -518,8 +477,8 @@ class ClusterCoordinator:
                     >= self.checkpoint_interval
                 ):
                     self.checkpoint_node(node_id)
-                per_node[node_id] = work.packets
-                self.routed[node_id] = self.routed.get(node_id, 0) + work.packets
+                per_node[node_id] = len(work.group)
+                self.routed[node_id] = self.routed.get(node_id, 0) + len(work.group)
         t_end = time.perf_counter_ns()
         self._segments += 1
         self._steer_ns += t_steered - t_start
@@ -539,13 +498,8 @@ class ClusterCoordinator:
             # The windowed clock advances once per segment: ingestion is
             # node-major inside this call, so only the segment boundary is
             # a safe time-ordered watermark (callers feed monotone streams).
-            if self.obs.windows is not None and count:
-                last_ts = (
-                    int(descriptors.timestamps[count - 1])
-                    if columnar
-                    else descriptors[-1].timestamp_ps
-                )
-                self.obs.windows.advance(last_ts)
+            if self.obs.windows is not None:
+                self.obs.windows.advance(int(block.timestamps[count - 1]))
         return {"packets": count, "per_node": per_node}
 
     def _credit_outcomes(self, node_id: str) -> None:

@@ -54,7 +54,6 @@ class ClusterNode:
         telemetry_config: Optional[TelemetryConfig] = None,
         telemetry_seed: SeedLike = 0,
         flow_timeout_us: Optional[float] = None,
-        input_queue_depth: int = 32,
         obs: Optional[object] = None,
     ) -> None:
         if not node_id:
@@ -63,10 +62,8 @@ class ClusterNode:
         self.telemetry_config = telemetry_config
         self.telemetry_seed = telemetry_seed
         metrics: Optional[MetricsRegistry]
-        spans = None
         if isinstance(obs, Observability):
             metrics = obs.metrics
-            spans = obs.spans
         elif obs is None or isinstance(obs, MetricsRegistry):
             metrics = obs
         else:
@@ -103,11 +100,9 @@ class ClusterNode:
             shards=shards,
             config=config,
             on_batch=self.pipeline.observe_outcomes if self.pipeline is not None else None,
-            input_queue_depth=input_queue_depth,
-            obs=metrics,
+            obs=obs,
             obs_labels={"node": node_id} if metrics is not None else None,
             windows=False,
-            spans=spans,
         )
         self.engine.attach_flow_state(timeout_us=flow_timeout_us)
         self.alive = True
@@ -119,8 +114,9 @@ class ClusterNode:
     # Ingestion
     # ------------------------------------------------------------------ #
 
-    def process_batch(self, descriptors: Sequence) -> List[LookupOutcome]:
-        """Run one descriptor batch through this node's engine."""
+    def process_batch(self, descriptors):
+        """Run one batch (a ``DescriptorBlock``, or a descriptor sequence
+        the engine packs into one) through this node's engine."""
         if not self.alive:
             raise RuntimeError(f"node {self.node_id!r} has failed; cannot ingest")
         return self.engine.process_batch(descriptors)

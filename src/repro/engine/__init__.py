@@ -5,23 +5,25 @@ package scales the reproduction out the way deployments do:
 
 * :mod:`repro.engine.sharded` — :class:`ShardedFlowLUT`, hash-partitioning
   flow keys across ``N`` independent Flow LUT instances behind a batched
-  ``process_batch`` API that merges outcome streams and per-shard stats.
-  ``process_batch`` accepts either descriptor lists (the timed reference
-  path) or :class:`~repro.columns.DescriptorBlock` columnar batches (the
-  vectorised hot path).
+  ``process_batch`` API that merges outcome blocks and per-shard stats.
+  There is one ingest body, over :class:`~repro.columns.DescriptorBlock`
+  columnar batches; descriptor lists are packed into a block at the
+  entrance.
 * :mod:`repro.engine.runner` — replay any named workload scenario
-  (:mod:`repro.traffic.scenarios`) through the sharded engine (object or
-  columnar representation) or the single-LUT baseline, with
+  (:mod:`repro.traffic.scenarios`) through the sharded engine, through
+  ``N`` cycle-accurate devices (``replay_timed`` / ``run_scenario_timed``,
+  the simulated scaling figures) or through the single-LUT baseline, with
   scenario-scoped descriptor extraction and an optional telemetry
   pipeline riding the outcome batches.
 """
 
 from repro.engine.runner import (
     ScenarioRunResult,
+    replay_timed,
     run_all_scenarios_sharded,
-    run_scenario_columnar,
     run_scenario_sharded,
     run_scenario_single,
+    run_scenario_timed,
     sharded_vs_single,
 )
 from repro.engine.sharded import ShardedFlowLUT
@@ -29,9 +31,10 @@ from repro.engine.sharded import ShardedFlowLUT
 __all__ = [
     "ScenarioRunResult",
     "ShardedFlowLUT",
+    "replay_timed",
     "run_all_scenarios_sharded",
-    "run_scenario_columnar",
     "run_scenario_sharded",
     "run_scenario_single",
+    "run_scenario_timed",
     "sharded_vs_single",
 ]

@@ -1,11 +1,12 @@
 """Batched scenario execution: named workloads through the sharded engine.
 
 Every scenario in :mod:`repro.traffic.scenarios` can be replayed through a
-:class:`~repro.engine.sharded.ShardedFlowLUT` (or a single
-:class:`~repro.core.flow_lut.FlowLUT` for the baseline) with one call.  The
-runner owns a scenario-scoped :class:`~repro.net.parser.DescriptorExtractor`,
-so two back-to-back runs of the same scenario and seed report identical
-stats — nothing bleeds across runs through shared parser state.
+:class:`~repro.engine.sharded.ShardedFlowLUT`, through ``N`` cycle-accurate
+devices, or through a single :class:`~repro.core.flow_lut.FlowLUT` (the
+baseline) with one call.  The runner owns a scenario-scoped
+:class:`~repro.net.parser.DescriptorExtractor`, so two back-to-back runs of
+the same scenario and seed report identical stats — nothing bleeds across
+runs through shared parser state.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from typing import List, Optional, Sequence, Tuple
 from repro.core.config import FlowLUTConfig, small_test_config
 from repro.core.flow_lut import FlowLUT
 from repro.engine.sharded import ShardedFlowLUT
+from repro.hashing.crc import CRC32
 from repro.net.parser import DescriptorExtractor
-from repro.traffic.scenarios import list_scenarios, scenario_block, scenario_descriptors
+from repro.traffic.scenarios import list_scenarios, scenario_descriptors
 
 DEFAULT_BATCH_SIZE = 512
 
@@ -63,6 +65,30 @@ class ScenarioRunResult:
         }
 
 
+def _summarise(
+    name: str, packets: int, packets_parsed: int, devices: Sequence[FlowLUT]
+) -> ScenarioRunResult:
+    """Parallel devices as one result: totals add, the slowest sets the clock."""
+    completed = tuple(lut.completed for lut in devices)
+    total = sum(completed)
+    elapsed_ps = max(lut.elapsed_ps for lut in devices)
+    return ScenarioRunResult(
+        scenario=name,
+        shards=len(devices),
+        packets=packets,
+        packets_parsed=packets_parsed,
+        completed=total,
+        hits=sum(lut.hits for lut in devices),
+        misses=sum(lut.misses for lut in devices),
+        new_flows=sum(lut.new_flows for lut in devices),
+        insert_failures=sum(lut.insert_failures for lut in devices),
+        elapsed_ps=elapsed_ps,
+        throughput_mdesc_s=total * 1e6 / elapsed_ps if elapsed_ps > 0 else 0.0,
+        shard_completed=completed,
+        load_imbalance=max(completed) * len(completed) / total if total > 0 else 0.0,
+    )
+
+
 def run_scenario_sharded(
     name: str,
     packet_count: int,
@@ -74,6 +100,10 @@ def run_scenario_sharded(
 ) -> ScenarioRunResult:
     """Replay a named scenario through a sharded engine in descriptor batches.
 
+    The descriptor slices are packed into blocks by
+    :meth:`ShardedFlowLUT.process_batch`, so ``elapsed_ps`` /
+    ``throughput_mdesc_s`` here are the bulk probe's steady-state envelope;
+    :func:`run_scenario_timed` gives the cycle-accurate figure.
     ``telemetry`` may be a :class:`~repro.telemetry.TelemetryPipeline`; it
     then rides the merged outcome batches (one ``observe_outcomes`` call per
     batch) rather than a per-packet callback.
@@ -87,68 +117,48 @@ def run_scenario_sharded(
     engine = ShardedFlowLUT(shards=shards, config=config, on_batch=on_batch)
     for offset in range(0, len(descriptors), batch_size):
         engine.process_batch(descriptors[offset : offset + batch_size])
-    return ScenarioRunResult(
-        scenario=name,
-        shards=shards,
-        packets=len(descriptors),
-        packets_parsed=extractor.packets_parsed,
-        completed=engine.completed,
-        hits=engine.hits,
-        misses=engine.misses,
-        new_flows=engine.new_flows,
-        insert_failures=engine.insert_failures,
-        elapsed_ps=engine.elapsed_ps,
-        throughput_mdesc_s=engine.throughput_mdesc_s,
-        shard_completed=tuple(engine.shard_completed),
-        load_imbalance=engine.load_imbalance,
-    )
+    return _summarise(name, len(descriptors), extractor.packets_parsed, engine.shards)
 
 
-def run_scenario_columnar(
+def replay_timed(
+    descriptors: Sequence, shards: int, config: FlowLUTConfig, batch_size: int
+) -> List[FlowLUT]:
+    """``descriptors`` through ``shards`` cycle-accurate Flow LUTs.
+
+    Every ``batch_size`` slice of the stream is steered like
+    :meth:`ShardedFlowLUT.shard_of` steers it (CRC-32 of the key), each
+    device's share is submitted under backpressure, and the devices are
+    then drained (in-flight lookups and batched updates) — the cadence a
+    batched front end imposes on real devices.  The simulated multi-device
+    figures of the scaling experiments come from here, because the ingest
+    classes' own ``elapsed_ps`` follows the bulk probe's steady-state
+    envelope.
+    """
+    devices = [FlowLUT(config) for _ in range(shards)]
+    for offset in range(0, len(descriptors), batch_size):
+        for descriptor in descriptors[offset : offset + batch_size]:
+            devices[CRC32.hash(descriptor.key_bytes) % shards].submit_blocking(descriptor)
+        for lut in devices:
+            lut.drain()
+    return devices
+
+
+def run_scenario_timed(
     name: str,
     packet_count: int,
     shards: int = 4,
     seed: int = 0,
     config: Optional[FlowLUTConfig] = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    telemetry=None,
 ) -> ScenarioRunResult:
-    """Replay a named scenario through the sharded engine's columnar hot path.
-
-    The twin of :func:`run_scenario_sharded` on the block representation: the
-    scenario is built as one :class:`~repro.columns.DescriptorBlock`
-    (:func:`~repro.traffic.scenarios.scenario_block`), sliced into batch-sized
-    sub-blocks and steered through :meth:`ShardedFlowLUT.process_batch`'s bulk
-    path.  No per-packet descriptor objects are created, so
-    ``packets_parsed`` is reported as 0; every outcome total matches the
-    object path exactly.
-    """
+    """The scenario through ``shards`` cycle-accurate devices (:func:`replay_timed`)."""
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
     config = config or small_test_config()
-    block = scenario_block(name, packet_count, seed=seed)
-    on_batch = telemetry.observe_outcomes if telemetry is not None else None
-    engine = ShardedFlowLUT(shards=shards, config=config, on_batch=on_batch)
-    count = len(block)
-    for offset in range(0, count, batch_size):
-        end = min(offset + batch_size, count)
-        piece = block if count <= batch_size else block.take(range(offset, end))
-        engine.process_batch(piece)
-    return ScenarioRunResult(
-        scenario=name,
-        shards=shards,
-        packets=count,
-        packets_parsed=0,
-        completed=engine.completed,
-        hits=engine.hits,
-        misses=engine.misses,
-        new_flows=engine.new_flows,
-        insert_failures=engine.insert_failures,
-        elapsed_ps=engine.elapsed_ps,
-        throughput_mdesc_s=engine.throughput_mdesc_s,
-        shard_completed=tuple(engine.shard_completed),
-        load_imbalance=engine.load_imbalance,
-    )
+    extractor = DescriptorExtractor()
+    descriptors = scenario_descriptors(name, packet_count, seed=seed, extractor=extractor)
+    devices = replay_timed(descriptors, shards, config, batch_size)
+    return _summarise(name, len(descriptors), extractor.packets_parsed, devices)
 
 
 def run_scenario_single(
@@ -157,28 +167,10 @@ def run_scenario_single(
     seed: int = 0,
     config: Optional[FlowLUTConfig] = None,
 ) -> ScenarioRunResult:
-    """The baseline: the same scenario through one per-packet Flow LUT."""
-    config = config or small_test_config()
-    extractor = DescriptorExtractor()
-    descriptors = scenario_descriptors(name, packet_count, seed=seed, extractor=extractor)
-    lut = FlowLUT(config)
-    for descriptor in descriptors:
-        lut.submit_blocking(descriptor)
-    lut.drain()
-    return ScenarioRunResult(
-        scenario=name,
-        shards=1,
-        packets=len(descriptors),
-        packets_parsed=extractor.packets_parsed,
-        completed=lut.completed,
-        hits=lut.hits,
-        misses=lut.misses,
-        new_flows=lut.new_flows,
-        insert_failures=lut.insert_failures,
-        elapsed_ps=lut.elapsed_ps,
-        throughput_mdesc_s=lut.throughput_mdesc_s,
-        shard_completed=(lut.completed,),
-        load_imbalance=1.0 if lut.completed else 0.0,
+    """The baseline: the same scenario through one per-packet Flow LUT,
+    submitted back to back and drained once."""
+    return run_scenario_timed(
+        name, packet_count, shards=1, seed=seed, config=config, batch_size=max(1, packet_count)
     )
 
 

@@ -3,29 +3,32 @@
 The paper's Flow LUT is a line-rate design, but one timed instance can only
 model one device.  Scaling the reproduction towards production traffic means
 doing what deployments do: partition the flow space by hash across ``N``
-independent Flow LUTs — each with its own sequencer, DLU pair, update blocks
-and DDR3 memory sets — and drive them with *batches* of descriptors instead
+independent Flow LUTs and drive them with *batches* of descriptors instead
 of one packet at a time.
 
-:class:`ShardedFlowLUT` implements that layer.  Shard selection hashes the
-descriptor key (CRC-32, independent of the per-shard H3 bucket hashing), so
-every packet of a flow lands on the same shard and the aggregate hit / miss /
-new-flow accounting is identical to a single LUT serving the whole stream.
-Because the shards are independent devices running in parallel, the
-aggregate wall-clock of a workload is the *slowest shard's* simulated time,
-which is what :attr:`ShardedFlowLUT.throughput_mdesc_s` reports.
+:class:`ShardedFlowLUT` implements that layer over one ingest body: a
+:class:`~repro.columns.DescriptorBlock` is hashed once, steered by CRC-32
+(independent of the per-shard H3 bucket hashing) and bulk-probed per shard
+(:meth:`FlowLUT.process_block <repro.core.flow_lut.FlowLUT.process_block>`);
+descriptor sequences are packed into a block at the entrance.  Every packet
+of a flow lands on the same shard, so the aggregate hit / miss / new-flow
+accounting is identical to a single LUT serving the whole stream.  The bulk
+probe advances each shard along the sequencer's steady-state envelope, so
+:attr:`ShardedFlowLUT.throughput_mdesc_s` — the slowest shard's simulated
+time, the shards being parallel devices — is that envelope, not a
+cycle-accurate figure; the cycle-accurate multi-device figures come from
+:func:`repro.engine.runner.replay_timed`.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.columns import backend as col_backend
 from repro.columns.block import DescriptorBlock, OutcomeBlock
 from repro.columns.hashing import crc32_partition
 from repro.core.config import FlowLUTConfig
-from repro.core.flow_lut import FlowLUT, LookupOutcome
+from repro.core.flow_lut import FlowLUT
 from repro.core.flow_state import FlowRecord, FlowStateTable
 from repro.hashing.crc import CRC32
 from repro.net.parser import PacketDescriptor
@@ -41,6 +44,121 @@ def _slice_column(column, indices):
     return [column[i] for i in indices]
 
 
+class _NullBatchTimer:
+    """The obs-off stage timer: every hook is a per-batch no-op.
+
+    :meth:`ShardedFlowLUT.process_batch` is written once against this
+    interface, so the instrumented and plain runs execute the same body and
+    cannot drift; :class:`_BatchTimer` is what ``obs=`` swaps in.
+    """
+
+    def begin(self) -> None:
+        pass
+
+    def lap(self, stage: str, shard: int = -1, packets: int = 0) -> None:
+        pass
+
+    def finish(self, engine: "ShardedFlowLUT", block: DescriptorBlock) -> None:
+        pass
+
+
+class _BatchTimer(_NullBatchTimer):
+    """Per-batch stage timings, counters, spans and window advance.
+
+    ``lap`` closes the stage that ran since the previous clock read, so a
+    batch costs one read per stage (one per non-empty shard for ``probe``);
+    tracing reuses those reads as span boundaries and takes none of its own.
+    Children are bound once here so the per-batch cost is a few attribute
+    accesses, not label-dict hashing.
+    """
+
+    def __init__(
+        self, registry: MetricsRegistry, labels: Dict[str, str], shards: int, windows, spans
+    ) -> None:
+        self.clock = registry.clock
+        self.windows = windows
+        self.spans = spans
+        label_names = tuple(labels)
+        stage_hist = registry.histogram(
+            "repro_engine_stage_ns",
+            "Host-side duration of each batch stage (hash/steer/probe/pack/telemetry)",
+            labels=(*label_names, "stage"),
+        )
+        self._stages = {
+            stage: stage_hist.labels(**labels, stage=stage)
+            for stage in ("hash", "steer", "probe", "pack", "telemetry")
+        }
+        shard_counter = registry.counter(
+            "repro_engine_shard_descriptors_total",
+            "Descriptors ingested per shard",
+            labels=(*label_names, "shard"),
+        )
+        self._shards = [
+            shard_counter.labels(**labels, shard=str(index)) for index in range(shards)
+        ]
+        self._batches = registry.counter(
+            "repro_engine_batches_total",
+            "Merged descriptor batches processed",
+            labels=label_names,
+        ).labels(**labels)
+        outcome_counter = registry.counter(
+            "repro_engine_outcomes_total",
+            "Lookup outcomes by result (hit/miss/new_flow)",
+            labels=(*label_names, "result"),
+        )
+        self._outcomes = [
+            outcome_counter.labels(**labels, result=result)
+            for result in ("hit", "miss", "new_flow")
+        ]
+        self._prev_outcomes = (0, 0, 0)
+
+    def begin(self) -> None:
+        spans = self.spans
+        self._traced, self._parent = (
+            spans.batch_parent() if spans is not None else (False, None)
+        )
+        self._laps: List[Tuple[str, int, int, int, int]] = []
+        self._mark = self.clock()
+
+    def lap(self, stage: str, shard: int = -1, packets: int = 0) -> None:
+        now = self.clock()
+        self._laps.append((stage, self._mark, now, shard, packets))
+        self._mark = now
+
+    def finish(self, engine: "ShardedFlowLUT", block: DescriptorBlock) -> None:
+        durations: Dict[str, int] = {}
+        for stage, start, end, shard, packets in self._laps:
+            durations[stage] = durations.get(stage, 0) + end - start
+            if shard >= 0:
+                self._shards[shard].inc(packets)
+        for stage, duration in durations.items():
+            self._stages[stage].observe(duration)
+        self._batches.inc()
+        totals = (engine.hits, engine.misses, engine.new_flows)
+        for counter, total, previous in zip(self._outcomes, totals, self._prev_outcomes):
+            if total != previous:
+                counter.inc(total - previous)
+        self._prev_outcomes = totals
+        if self._traced:
+            self._emit_spans(len(block))
+        if self.windows is not None:
+            self.windows.advance(int(block.timestamps[len(block) - 1]))
+
+    def _emit_spans(self, packets: int) -> None:
+        """Turn the batch's laps into one span tree (laps are contiguous)."""
+        spans = self.spans
+        laps = self._laps
+        parent = self._parent
+        if parent is None:
+            parent = spans.emit("ingest_batch", laps[0][1], laps[-1][2], None, packets=packets)
+        for stage, start, end, shard, shard_packets in laps:
+            if shard >= 0:
+                owner = spans.emit("shard", start, end, parent, shard=shard, packets=shard_packets)
+                spans.emit(stage, start, end, owner)
+            else:
+                spans.emit(stage, start, end, parent)
+
+
 class ShardedFlowLUT:
     """``N`` independent Flow LUTs behind one batched lookup API.
 
@@ -50,14 +168,13 @@ class ShardedFlowLUT:
         its own memory sets and simulator).
     config: per-shard architecture configuration; defaults to the paper's
         prototype, like :class:`~repro.core.flow_lut.FlowLUT` itself.
-    on_batch: optional callback invoked with every merged batch of
-        :class:`LookupOutcome` objects (the telemetry plane rides this).
-    input_queue_depth: per-shard descriptor FIFO depth.
+    on_batch: optional callback invoked with every batch's merged
+        :class:`~repro.columns.OutcomeBlock` (the telemetry plane rides
+        this).
     obs: a :class:`~repro.obs.metrics.MetricsRegistry` — or a full
         :class:`~repro.obs.plane.Observability` plane — to instrument the
         batch path with: per-batch stage timings (``repro_engine_stage_ns``:
-        steer → probe → drain → telemetry on object batches, hash → steer →
-        probe → pack → telemetry on columnar blocks), per-shard
+        hash → steer → probe → pack → telemetry), per-shard
         ingest counters (``repro_engine_shard_descriptors_total``), and
         per-batch outcome counters (``repro_engine_outcomes_total`` by
         ``result=hit|miss|new_flow``).  A plane additionally wires its
@@ -65,7 +182,7 @@ class ShardedFlowLUT:
         every batch) and its span recorder (emit-based batch traces from
         the clock reads the stage histograms already take).
         ``None`` (the default) disables instrumentation; the disabled
-        path pays one ``is None`` branch per batch.
+        path runs the same body over a no-op timer.
     obs_labels: extra label values stamped on every engine metric (the
         cluster layer passes ``node=<id>`` so per-node series coexist in
         one fleet registry).
@@ -80,8 +197,7 @@ class ShardedFlowLUT:
         self,
         shards: int = 4,
         config: Optional[FlowLUTConfig] = None,
-        on_batch: Optional[Callable[[List[LookupOutcome]], None]] = None,
-        input_queue_depth: int = 32,
+        on_batch: Optional[Callable[[OutcomeBlock], None]] = None,
         obs: Optional[MetricsRegistry] = None,
         obs_labels: Optional[Dict[str, str]] = None,
         windows=None,
@@ -92,10 +208,7 @@ class ShardedFlowLUT:
         self.config = config or FlowLUTConfig()
         self.num_shards = shards
         self.on_batch = on_batch
-        self.shards: List[FlowLUT] = [
-            FlowLUT(self.config, input_queue_depth=input_queue_depth)
-            for _ in range(shards)
-        ]
+        self.shards: List[FlowLUT] = [FlowLUT(self.config) for _ in range(shards)]
         self.batches = 0
         if isinstance(obs, Observability):
             if windows is None:
@@ -104,49 +217,11 @@ class ShardedFlowLUT:
                 spans = obs.spans
             obs = obs.metrics
         self.obs = obs
-        self._obs_windows = windows if (obs is not None and windows) else None
-        self._obs_spans = spans if (obs is not None and spans) else None
-        if obs is not None:
-            labels = dict(obs_labels or {})
-            label_names = tuple(labels)
-            stage_hist = obs.histogram(
-                "repro_engine_stage_ns",
-                "Host-side duration of each batch stage (hash/steer/probe/drain/pack/telemetry)",
-                labels=(*label_names, "stage"),
-            )
-            # Children are bound once here so the per-batch cost is a few
-            # attribute accesses, not label-dict hashing.  Object batches
-            # time steer/probe/drain/telemetry; columnar batches time
-            # hash/steer/probe/pack/telemetry.
-            self._obs_stages = {
-                stage: stage_hist.labels(**labels, stage=stage)
-                for stage in ("hash", "steer", "probe", "drain", "pack", "telemetry")
-            }
-            shard_counter = obs.counter(
-                "repro_engine_shard_descriptors_total",
-                "Descriptors ingested per shard",
-                labels=(*label_names, "shard"),
-            )
-            self._obs_shards = [
-                shard_counter.labels(**labels, shard=str(index))
-                for index in range(shards)
-            ]
-            self._obs_batches = obs.counter(
-                "repro_engine_batches_total",
-                "Merged descriptor batches processed",
-                labels=label_names,
-            ).labels(**labels)
-            outcome_counter = obs.counter(
-                "repro_engine_outcomes_total",
-                "Lookup outcomes by result (hit/miss/new_flow)",
-                labels=(*label_names, "result"),
-            )
-            self._obs_outcomes = {
-                result: outcome_counter.labels(**labels, result=result)
-                for result in ("hit", "miss", "new_flow")
-            }
-            self._obs_prev_outcomes = (0, 0, 0)
-            self._obs_clock = obs.clock
+        self._timer = (
+            _BatchTimer(obs, dict(obs_labels or {}), shards, windows or None, spans or None)
+            if obs is not None
+            else _NullBatchTimer()
+        )
 
     def set_span_recorder(self, spans) -> object:
         """Swap the engine's span recorder; returns the previous one.
@@ -161,8 +236,8 @@ class ShardedFlowLUT:
         """
         if self.obs is None:
             return None
-        previous = self._obs_spans
-        self._obs_spans = spans if spans else None
+        previous = self._timer.spans
+        self._timer.spans = spans if spans else None
         return previous
 
     # ------------------------------------------------------------------ #
@@ -181,13 +256,6 @@ class ShardedFlowLUT:
         """
         return CRC32.hash(key_bytes) % self.num_shards
 
-    def partition(self, descriptors: Sequence) -> List[List]:
-        """Split a descriptor batch into per-shard sub-batches (order kept)."""
-        groups: List[List] = [[] for _ in range(self.num_shards)]
-        for descriptor in descriptors:
-            groups[self.shard_of(descriptor.key_bytes)].append(descriptor)
-        return groups
-
     # ------------------------------------------------------------------ #
     # Submission
     # ------------------------------------------------------------------ #
@@ -203,270 +271,67 @@ class ShardedFlowLUT:
     def process_batch(self, descriptors):
         """Run one batch through all shards and merge the outcomes.
 
-        Accepts either a ``Sequence[PacketDescriptor]`` (the timed
-        reference path) or a :class:`~repro.columns.DescriptorBlock` (the
-        columnar hot path, returning an
-        :class:`~repro.columns.OutcomeBlock`).
+        A :class:`~repro.columns.DescriptorBlock` returns an
+        :class:`~repro.columns.OutcomeBlock`.  A ``Sequence[PacketDescriptor]``
+        is packed into a block first — the whole sequence, before any shard
+        or counter is touched, so a descriptor outside the standard 5-tuple
+        layout raises ``ValueError`` and changes nothing — and answered with
+        the ``LookupOutcome`` list in row order.  An empty batch of either
+        kind is not a batch: nothing is counted, ``on_batch`` is not called
+        and no window advances.
 
-        The object path partitions once, drives each shard through its
-        sub-batch (submitting under backpressure, then draining in-flight
-        lookups and batched updates), and merges the per-shard outcome
-        streams in completion-time order.  The columnar path hashes the
-        whole block once (CRC-32 steering tokens plus both H3 bucket
-        columns — every shard shares the same seed, so the bucket columns
-        are computed once and sliced per shard), steers rows with the
-        vectorised partitioner, bulk-probes each shard, and scatters the
-        per-shard outcomes back into original row order.  Either way,
-        dispatch cost is paid per batch, not per packet.
+        The block is hashed once (both H3 bucket columns — every shard
+        shares the same seed, so they are computed once and sliced per
+        shard), steered with the vectorised CRC-32 partitioner, bulk-probed
+        per shard, and the per-shard outcomes are scattered back into
+        original row order.  Dispatch cost is paid per batch, not per
+        packet.
         """
         if isinstance(descriptors, DescriptorBlock):
             return self._process_block(descriptors)
-        if not descriptors:
-            return []
-        if self.obs is None:
-            starts = [len(shard.results) for shard in self.shards]
-            for shard, group in zip(self.shards, self.partition(descriptors)):
-                for descriptor in group:
-                    shard.submit_blocking(descriptor)
-                shard.drain()
-            merged = list(
-                heapq.merge(
-                    *(
-                        shard.results[start:]
-                        for shard, start in zip(self.shards, starts)
-                    ),
-                    key=lambda outcome: outcome.complete_ps,
-                )
-            )
-            self.batches += 1
-            if self.on_batch is not None:
-                self.on_batch(merged)
-            return merged
-        # Instrumented path: identical work, with the four stages timed.
-        # Stage spans are accumulated with raw clock reads (two per stage
-        # per shard at most) rather than context managers, keeping the
-        # enabled overhead to a handful of perf_counter_ns calls per batch.
-        # The same clock reads double as span boundaries when this batch is
-        # sampled for tracing — tracing never takes reads of its own.
-        clock = self._obs_clock
-        stages = self._obs_stages
-        spans = self._obs_spans
-        traced = False
-        parent = None
-        if spans is not None:
-            traced, parent = spans.batch_parent()
-        shard_marks: List[Tuple[int, int, int, int, int]] = []
-        starts = [len(shard.results) for shard in self.shards]
-        t0 = clock()
-        groups = self.partition(descriptors)
-        t_steer = clock()
-        stages["steer"].observe(t_steer - t0)
-        probe_ns = 0
-        drain_ns = 0
-        for index, (shard, group, shard_counter) in enumerate(
-            zip(self.shards, groups, self._obs_shards)
-        ):
-            t1 = clock()
-            for descriptor in group:
-                shard.submit_blocking(descriptor)
-            t2 = clock()
-            shard.drain()
-            t3 = clock()
-            drain_ns += t3 - t2
-            probe_ns += t2 - t1
-            if group:
-                shard_counter.inc(len(group))
-                if traced:
-                    shard_marks.append((index, t1, t2, t3, len(group)))
-        stages["probe"].observe(probe_ns)
-        t4 = clock()
-        merged = list(
-            heapq.merge(
-                *(
-                    shard.results[start:]
-                    for shard, start in zip(self.shards, starts)
-                ),
-                key=lambda outcome: outcome.complete_ps,
-            )
-        )
-        # The outcome merge retires the batch like the per-shard drains do.
-        t5 = clock()
-        stages["drain"].observe(drain_ns + (t5 - t4))
-        self.batches += 1
-        self._obs_batches.inc()
-        self._count_outcomes()
-        telemetry_marks = None
-        if self.on_batch is not None:
-            t6 = clock()
-            self.on_batch(merged)
-            t7 = clock()
-            stages["telemetry"].observe(t7 - t6)
-            telemetry_marks = (t6, t7)
-        if traced:
-            self._emit_object_spans(
-                parent, t0, t_steer, shard_marks, t5, telemetry_marks, len(descriptors)
-            )
-        if self._obs_windows is not None:
-            self._obs_windows.advance(descriptors[-1].timestamp_ps)
-        return merged
-
-    def _count_outcomes(self) -> None:
-        """Credit this batch's hit/miss/new-flow deltas to the counters."""
-        hits = misses = flows = 0
-        for shard in self.shards:
-            hits += shard.hits
-            misses += shard.misses
-            flows += shard.new_flows
-        prev_hits, prev_misses, prev_flows = self._obs_prev_outcomes
-        if hits != prev_hits:
-            self._obs_outcomes["hit"].inc(hits - prev_hits)
-        if misses != prev_misses:
-            self._obs_outcomes["miss"].inc(misses - prev_misses)
-        if flows != prev_flows:
-            self._obs_outcomes["new_flow"].inc(flows - prev_flows)
-        self._obs_prev_outcomes = (hits, misses, flows)
-
-    def _emit_object_spans(
-        self, parent, t0, t_steer, shard_marks, t_done, telemetry_marks, count
-    ) -> None:
-        """Turn the object path's stage marks into one batch span tree."""
-        spans = self._obs_spans
-        end = telemetry_marks[1] if telemetry_marks else t_done
-        if parent is None:
-            parent = spans.emit("ingest_batch", t0, end, None, packets=count)
-        spans.emit("steer", t0, t_steer, parent)
-        for index, t1, t2, t3, packets in shard_marks:
-            shard_span = spans.emit("shard", t1, t3, parent, shard=index, packets=packets)
-            spans.emit("probe", t1, t2, shard_span)
-            spans.emit("drain", t2, t3, shard_span)
-        if telemetry_marks:
-            spans.emit("telemetry", telemetry_marks[0], telemetry_marks[1], parent)
-
-    def _steer_block(self, block: DescriptorBlock):
-        """Hash once, partition rows, and slice per-shard sub-blocks.
-
-        Returns ``(hash_ns_marker, parts)`` where ``parts`` pairs each
-        non-empty shard with ``(indices, sub_block, hash_columns)``.
-        """
-        count = len(block)
-        idx1_col, idx2_col = self.shards[0].table.column_hash_indices(
-            block.key_data, count, block.key_width
-        )
-        if self.num_shards == 1:
-            return [(0, range(count), block, (idx1_col, idx2_col))]
-        groups = crc32_partition(block.key_data, count, block.key_width, self.num_shards)
-        parts = []
-        for shard_index, indices in enumerate(groups):
-            if len(indices) == 0:
-                continue
-            sub = block.take(indices)
-            columns = (_slice_column(idx1_col, indices), _slice_column(idx2_col, indices))
-            parts.append((shard_index, indices, sub, columns))
-        return parts
+        return self._process_block(DescriptorBlock.from_descriptors(descriptors)).to_outcomes()
 
     def _process_block(self, block: DescriptorBlock) -> OutcomeBlock:
-        if self.obs is not None:
-            return self._process_block_instrumented(block)
-        parts = self._steer_block(block)
-        outcomes = [
-            (indices, self.shards[shard_index].process_block(sub, hash_columns=columns))
-            for shard_index, indices, sub, columns in parts
-        ]
-        if len(outcomes) == 1 and len(outcomes[0][1]) == len(block):
-            merged = outcomes[0][1]
-        else:
-            merged = OutcomeBlock.merge_scatter(block, outcomes)
-        self.batches += 1
-        if self.on_batch is not None:
-            self.on_batch(merged)
-        return merged
-
-    def _process_block_instrumented(self, block: DescriptorBlock) -> OutcomeBlock:
-        # Columnar twin of the instrumented object path: identical work,
-        # with the hash / steer / probe / pack stages timed with raw clock
-        # reads (drain has no columnar counterpart — the bulk probe is
-        # functional, nothing stays in flight).
-        clock = self._obs_clock
-        stages = self._obs_stages
-        spans = self._obs_spans
-        traced = False
-        parent = None
-        if spans is not None:
-            traced, parent = spans.batch_parent()
-        shard_marks: List[Tuple[int, int, int, int]] = []
         count = len(block)
-        t0 = clock()
+        if not count:
+            return OutcomeBlock.merge_scatter(block, [])
+        timer = self._timer
+        timer.begin()
         idx1_col, idx2_col = self.shards[0].table.column_hash_indices(
             block.key_data, count, block.key_width
         )
-        t1 = clock()
-        stages["hash"].observe(t1 - t0)
+        timer.lap("hash")
         if self.num_shards == 1:
             parts = [(0, range(count), block, (idx1_col, idx2_col))]
         else:
             groups = crc32_partition(block.key_data, count, block.key_width, self.num_shards)
-            parts = []
-            for shard_index, indices in enumerate(groups):
-                if len(indices) == 0:
-                    continue
-                sub = block.take(indices)
-                columns = (_slice_column(idx1_col, indices), _slice_column(idx2_col, indices))
-                parts.append((shard_index, indices, sub, columns))
-        t2 = clock()
-        stages["steer"].observe(t2 - t1)
+            parts = [
+                (
+                    shard_index,
+                    indices,
+                    block.take(indices),
+                    (_slice_column(idx1_col, indices), _slice_column(idx2_col, indices)),
+                )
+                for shard_index, indices in enumerate(groups)
+                if len(indices)
+            ]
+        timer.lap("steer")
         outcomes = []
-        probe_ns = 0
         for shard_index, indices, sub, columns in parts:
-            t3 = clock()
             outcome = self.shards[shard_index].process_block(sub, hash_columns=columns)
-            t3_end = clock()
-            probe_ns += t3_end - t3
             outcomes.append((indices, outcome))
-            self._obs_shards[shard_index].inc(len(sub))
-            if traced:
-                shard_marks.append((shard_index, t3, t3_end, len(sub)))
-        stages["probe"].observe(probe_ns)
-        t4 = clock()
-        if len(outcomes) == 1 and len(outcomes[0][1]) == len(block):
+            timer.lap("probe", shard_index, len(sub))
+        if len(outcomes) == 1:
             merged = outcomes[0][1]
         else:
             merged = OutcomeBlock.merge_scatter(block, outcomes)
-        t5 = clock()
-        stages["pack"].observe(t5 - t4)
+        timer.lap("pack")
         self.batches += 1
-        self._obs_batches.inc()
-        self._count_outcomes()
-        telemetry_marks = None
         if self.on_batch is not None:
-            t6 = clock()
             self.on_batch(merged)
-            t7 = clock()
-            stages["telemetry"].observe(t7 - t6)
-            telemetry_marks = (t6, t7)
-        if traced:
-            self._emit_block_spans(
-                parent, t0, t1, t2, shard_marks, t4, t5, telemetry_marks, count
-            )
-        if self._obs_windows is not None and count:
-            self._obs_windows.advance(int(block.timestamps[count - 1]))
+            timer.lap("telemetry")
+        timer.finish(self, block)
         return merged
-
-    def _emit_block_spans(
-        self, parent, t0, t1, t2, shard_marks, t4, t5, telemetry_marks, count
-    ) -> None:
-        """Turn the columnar path's stage marks into one batch span tree."""
-        spans = self._obs_spans
-        end = telemetry_marks[1] if telemetry_marks else t5
-        if parent is None:
-            parent = spans.emit("ingest_batch", t0, end, None, packets=count, columnar=True)
-        spans.emit("hash", t0, t1, parent)
-        spans.emit("steer", t1, t2, parent)
-        for shard_index, ta, tb, packets in shard_marks:
-            shard_span = spans.emit("shard", ta, tb, parent, shard=shard_index, packets=packets)
-            spans.emit("probe", ta, tb, shard_span)
-        spans.emit("pack", t4, t5, parent)
-        if telemetry_marks:
-            spans.emit("telemetry", telemetry_marks[0], telemetry_marks[1], parent)
 
     def drain(self) -> None:
         """Drain every shard (in-flight lookups and pending burst writes)."""

@@ -3,7 +3,7 @@
 Spans record *host-side* durations (the injectable ns clock, same contract
 as :class:`MetricsRegistry`) of the execution tiers:
 
-    ingest_batch -> steer -> node -> shard -> probe/drain/telemetry
+    ingest_batch -> steer -> node -> hash/steer/shard/pack/telemetry -> probe
 
 Two APIs share one recorder:
 

@@ -17,7 +17,7 @@ Three executors share the contract ``run(works) -> results``:
 * :class:`SequentialExecutor` — the zero-thread reference; default.
 * :class:`ThreadExecutor` — a ``ThreadPoolExecutor``.  Worker state stays
   in-process, so replication, checkpoints and span grafting all see the
-  same node objects.  Wins when the columnar/numpy path releases the GIL
+  same node objects.  Wins when the numpy column kernels release the GIL
   into C-level loops and on multi-core hosts.
 * :class:`ProcessExecutor` — a ``ProcessPoolExecutor``; each node is
   shipped to the worker by pickle (the same object graph
@@ -50,7 +50,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Union
 
-from repro.columns.block import DescriptorBlock
 from repro.obs.spans import SpanRecorder
 
 ENV_VAR = "REPRO_PARALLEL"
@@ -62,9 +61,8 @@ class NodeWork:
 
     node_id: str
     node: object  # ClusterNode (untyped to keep this module import-light)
-    group: object  # Sequence of descriptors, or a DescriptorBlock slice
+    group: object  # this node's rows of the segment, a DescriptorBlock
     batch_size: int
-    packets: int
     collect_outcomes: bool  # materialise outcomes for barrier replication
     trace: bool  # record this node's engine spans into a private recorder
     span_clock: Optional[Callable[[], int]] = None
@@ -106,25 +104,18 @@ def execute_node_work(work: NodeWork) -> NodeSegmentResult:
     start_ns = time.thread_time_ns()
     try:
         group = work.group
-        count = work.packets
+        count = len(group)
         size = work.batch_size
         outcomes: Optional[List[list]] = [] if work.collect_outcomes else None
-        columnar = isinstance(group, DescriptorBlock)
         with (
             recorder.root("node", node=work.node_id, packets=count)
             if recorder is not None
             else nullcontext()
         ):
             for offset in range(0, count, size):
-                if columnar:
-                    piece = group.slice_rows(offset, offset + size)
-                    batch = node.process_batch(piece)
-                    if outcomes is not None:
-                        outcomes.append(batch.to_outcomes())
-                else:
-                    batch = node.process_batch(group[offset : offset + size])
-                    if outcomes is not None:
-                        outcomes.append(batch)
+                batch = node.process_batch(group.slice_rows(offset, offset + size))
+                if outcomes is not None:
+                    outcomes.append(batch.to_outcomes())
     finally:
         node.set_span_recorder(previous)
     busy_ns = time.thread_time_ns() - start_ns

@@ -29,7 +29,12 @@ from repro.reporting.paper import (
 )
 from repro.cluster import ClusterCoordinator
 from repro.core.resources import PAPER_TABLE1
-from repro.engine import run_scenario_sharded, run_scenario_single
+from repro.engine import (
+    replay_timed,
+    run_scenario_sharded,
+    run_scenario_single,
+    run_scenario_timed,
+)
 from repro.net.parser import DescriptorExtractor
 from repro.obs import Stopwatch
 from repro.traffic.scenarios import scenario_descriptors
@@ -349,6 +354,22 @@ def run_telemetry_scenarios(
 # --------------------------------------------------------------------------- #
 
 
+def _scaling_row(
+    axis: str, size: int, totals: dict, throughput_mdesc_s: float, load_imbalance: float, baseline
+) -> dict:
+    """One row of a scale-out sweep, judged against the single-LUT baseline."""
+    return {
+        axis: size,
+        **totals,
+        "throughput_mdesc_s": round(throughput_mdesc_s, 2),
+        "speedup_vs_single": round(throughput_mdesc_s / baseline.throughput_mdesc_s, 2)
+        if baseline.throughput_mdesc_s
+        else 0.0,
+        "load_imbalance": round(load_imbalance, 3),
+        "matches_single_path": totals == baseline.totals(),
+    }
+
+
 def run_cluster_scaling(
     scenario: str = "zipf_mix",
     packet_count: int = 4000,
@@ -366,18 +387,18 @@ def run_cluster_scaling(
     machines, so the cluster finishes in the slowest node's time — its
     speedup over the baseline, the observed load imbalance across nodes,
     and the outcome totals, which must be invariant under the node count
-    because the ring pins every flow to one node.  Telemetry is off by
+    because the ring pins every flow to one node.  Totals and imbalance
+    come from the coordinator's own ingest; the simulated clock comes from
+    replaying each node's ring share on cycle-accurate devices
+    (:func:`~repro.engine.runner.replay_timed`).  Telemetry is off by
     default (this experiment measures the lookup plane); turn it on to
     also exercise the per-node sketch pipelines.  There is no paper
     reference: this is the scale-out tier above the PR-2 sharded engine.
     """
     baseline = run_scenario_single(scenario, packet_count, seed=seed, config=config)
+    descriptors = scenario_descriptors(scenario, packet_count, seed=seed)
     rows = []
     for nodes in node_counts:
-        extractor = DescriptorExtractor()
-        descriptors = scenario_descriptors(
-            scenario, packet_count, seed=seed, extractor=extractor
-        )
         coordinator = ClusterCoordinator(
             nodes=nodes,
             config=config,
@@ -388,22 +409,21 @@ def run_cluster_scaling(
         )
         coordinator.ingest(descriptors)
         totals = coordinator.cluster_totals()
+        # The simulated clock: every node's ring share, in the sub-batches
+        # the node ingested it in, through cycle-accurate devices.
+        shares: dict = {}
+        for descriptor in descriptors:
+            shares.setdefault(coordinator.owner_of(descriptor.key_bytes), []).append(descriptor)
+        elapsed_ps = max(
+            device.elapsed_ps
+            for share in shares.values()
+            for device in replay_timed(share, shards_per_node, coordinator.config, batch_size)
+        )
+        throughput_mdesc_s = totals["completed"] * 1e6 / elapsed_ps if elapsed_ps > 0 else 0.0
         rows.append(
-            {
-                "nodes": nodes,
-                "completed": totals["completed"],
-                "hits": totals["hits"],
-                "misses": totals["misses"],
-                "new_flows": totals["new_flows"],
-                "throughput_mdesc_s": round(coordinator.throughput_mdesc_s, 2),
-                "speedup_vs_single": round(
-                    coordinator.throughput_mdesc_s / baseline.throughput_mdesc_s, 2
-                )
-                if baseline.throughput_mdesc_s
-                else 0.0,
-                "load_imbalance": round(coordinator.load_imbalance, 3),
-                "matches_single_path": totals == baseline.totals(),
-            }
+            _scaling_row(
+                "nodes", nodes, totals, throughput_mdesc_s, coordinator.load_imbalance, baseline
+            )
         )
     return {
         "scenario": scenario,
@@ -881,16 +901,18 @@ def run_sharded_scaling(
     """Replay one scenario through the sharded engine at several shard counts.
 
     The single-LUT per-packet path is measured first as the baseline; each
-    row then reports the sharded engine's aggregate (simulated) throughput,
-    its speedup over that baseline, the shard load balance, and the outcome
-    totals — which must be identical across every shard count, since flows
-    are pinned to shards by key hash.  There is no paper reference: this is
-    the scale-out extension of the prototype.
+    row then reports the aggregate (simulated) throughput of that many
+    cycle-accurate devices behind the engine's CRC-32 steering
+    (:func:`~repro.engine.runner.run_scenario_timed`), its speedup over
+    that baseline, the shard load balance, and the outcome totals — which
+    must be identical across every shard count, since flows are pinned to
+    shards by key hash.  There is no paper reference: this is the
+    scale-out extension of the prototype.
     """
     baseline = run_scenario_single(scenario, packet_count, seed=seed, config=config)
     rows = []
     for shards in shard_counts:
-        result = run_scenario_sharded(
+        result = run_scenario_timed(
             scenario,
             packet_count,
             shards=shards,
@@ -899,21 +921,14 @@ def run_sharded_scaling(
             batch_size=batch_size,
         )
         rows.append(
-            {
-                "shards": shards,
-                "completed": result.completed,
-                "hits": result.hits,
-                "misses": result.misses,
-                "new_flows": result.new_flows,
-                "throughput_mdesc_s": round(result.throughput_mdesc_s, 2),
-                "speedup_vs_single": round(
-                    result.throughput_mdesc_s / baseline.throughput_mdesc_s, 2
-                )
-                if baseline.throughput_mdesc_s
-                else 0.0,
-                "load_imbalance": round(result.load_imbalance, 3),
-                "matches_single_path": result.totals() == baseline.totals(),
-            }
+            _scaling_row(
+                "shards",
+                shards,
+                result.totals(),
+                result.throughput_mdesc_s,
+                result.load_imbalance,
+                baseline,
+            )
         )
     return {
         "scenario": scenario,

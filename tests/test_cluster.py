@@ -1,13 +1,21 @@
 """Cluster layer: ring steering, membership changes, global accounting."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster import ClusterCoordinator, ClusterNode, HashRing
 from repro.core.config import small_test_config
 from repro.engine import run_scenario_single
+from repro.obs import Observability
 from repro.reporting import run_cluster_scaling
 from repro.telemetry import TelemetryConfig, TelemetryPipeline
-from repro.traffic import generate_scenario, list_scenarios, scenario_descriptors
+from repro.traffic import (
+    generate_scenario,
+    list_scenarios,
+    scenario_block,
+    scenario_descriptors,
+)
 
 
 CONFIG = small_test_config()
@@ -108,11 +116,17 @@ def test_cluster_totals_match_single_path(name):
 def test_every_descriptor_is_routed_to_its_ring_owner():
     descriptors = scenario_descriptors("zipf_mix", 300, seed=12)
     coordinator = ClusterCoordinator(nodes=4, config=CONFIG, telemetry=False)
-    groups = coordinator.route(descriptors)
-    assert sum(len(group) for group in groups.values()) == 300
-    for node_id, group in groups.items():
-        for descriptor in group:
-            assert coordinator.owner_of(descriptor.key_bytes) == node_id
+    summary = coordinator.ingest(descriptors)
+    expected = {}
+    for descriptor in descriptors:
+        owner = coordinator.owner_of(descriptor.key_bytes)
+        expected[owner] = expected.get(owner, 0) + 1
+    assert summary["per_node"] == expected and sum(expected.values()) == 300
+    for node_id, node in coordinator.nodes.items():
+        assert node.completed == expected.get(node_id, 0)
+        assert {key for key, _ in node.engine.live_flow_pairs()} == {
+            d.key_bytes for d in descriptors if coordinator.owner_of(d.key_bytes) == node_id
+        }
 
 
 def test_coordinator_rejects_bad_construction():
@@ -351,6 +365,52 @@ def test_ingest_rejects_zero_batch_size():
     coordinator = ClusterCoordinator(nodes=2, config=CONFIG, telemetry=False)
     with pytest.raises(ValueError):
         coordinator.ingest(scenario_descriptors("zipf_mix", 10, seed=28), batch_size=0)
+
+
+def _observable_state(coordinator):
+    """Everything an ingest would have moved: books, routing, obs series."""
+    return (
+        coordinator.report(),
+        coordinator.flow_books(),
+        dict(coordinator.routed),
+        coordinator.metrics_snapshot(),
+        len(coordinator.journal),
+        len(coordinator.obs.spans.spans),
+        coordinator.obs.spans.roots_seen,
+        len(coordinator.obs.windows.windows),
+    )
+
+
+def _obs_cluster(**kwargs):
+    obs = Observability(window_ps=1000, span_sample_every=1, clock=lambda: 0)
+    return ClusterCoordinator(nodes=3, config=CONFIG, telemetry_seed=28, obs=obs, **kwargs)
+
+
+@pytest.mark.parametrize("empty", [[], scenario_block("zipf_mix", 0, seed=28)], ids=["list", "block"])
+def test_empty_segments_are_not_segments(empty):
+    # One rule for both inputs (an empty block used to count a segment and
+    # open a span): nothing counted, nothing traced, no window advance.
+    coordinator = _obs_cluster()
+    coordinator.ingest(scenario_descriptors("zipf_mix", 120, seed=28))
+    before = _observable_state(coordinator)
+    assert coordinator.ingest(empty) == {"packets": 0, "per_node": {}}
+    assert _observable_state(coordinator) == before
+
+
+def test_bad_descriptor_mid_sequence_raises_before_any_mutation():
+    coordinator = _obs_cluster(replication=2, checkpoint_interval=16)
+    descriptors = scenario_descriptors("zipf_mix", 240, seed=28)
+    coordinator.ingest(descriptors[:120])
+    before = _observable_state(coordinator)
+    bad = list(descriptors[120:])
+    bad[60] = replace(bad[60], key_bytes=bad[60].key_bytes + b"\x00")
+    with pytest.raises(ValueError, match="5-tuple key layout"):
+        coordinator.ingest(bad)
+    assert _observable_state(coordinator) == before
+    outcomes = coordinator.obs.metrics.get("repro_engine_outcomes_total")
+    assert sum(
+        value for labels, value in outcomes.samples() if labels["result"] != "new_flow"
+    ) == 120
 
 
 def test_finalize_telemetry_populates_cluster_flow_sizes():

@@ -8,10 +8,12 @@ Three layers of safety net around the columnar batch representation:
 2. **Hashing equivalence** — the vectorised CRC-32 and H3 column hashers
    reproduce the scalar implementations bit for bit across seeds, key
    widths and output geometries, on both the numpy and stdlib backends.
-3. **End-to-end equivalence** — for every registered scenario, the columnar
-   execution path produces the same outcome totals, per-flow books and
-   (canonicalised) top-k as the object path, at all three tiers: single
-   Flow LUT, sharded engine, cluster.
+3. **End-to-end equivalence** — the bulk probe (``FlowLUT.process_block``)
+   is checked against the cycle-accurate timed path, its oracle, on every
+   registered scenario and both column backends; the engine and cluster
+   tiers have one ingest body, so there the check is the entrance adapter:
+   a descriptor sequence in equals a block in, on books, flow state,
+   telemetry report and (canonicalised) top-k.
 
 The stdlib fallback is exercised in-process by monkeypatching
 ``repro.columns.backend.np`` to ``None`` (CI additionally runs the whole
@@ -28,7 +30,7 @@ from repro.core.flow_lut import FlowLUT
 from repro.core.flow_state import FlowStateTable
 from repro.cluster import ClusterCoordinator
 from repro.cluster.ring import HashRing
-from repro.engine import ShardedFlowLUT, run_scenario_columnar, run_scenario_sharded
+from repro.engine import ShardedFlowLUT
 from repro.hashing.crc import CRC32
 from repro.hashing.h3 import H3Hash
 from repro.net.fivetuple import FlowKey
@@ -45,9 +47,9 @@ def _ample_telemetry(packets: int) -> TelemetryPipeline:
     """A pipeline sized so no summary structure ever evicts.
 
     Space-Saving top-k and the spreader tables are order-sensitive under
-    eviction, and the two execution paths feed outcomes in different orders
-    (completion-time vs row order); with ample capacity every view is exact
-    and therefore order-independent.
+    eviction, and the timed path feeds outcomes in completion-time order
+    where the bulk probe feeds row order; with ample capacity every view is
+    exact and therefore order-independent.
     """
     return TelemetryPipeline(
         TelemetryConfig(
@@ -211,56 +213,92 @@ def test_ring_lookup_column_matches_scalar():
 
 
 # --------------------------------------------------------------------------- #
-# End-to-end equivalence: columnar path == object path
+# End-to-end equivalence: bulk probe == timed oracle; sequence in == block in
 # --------------------------------------------------------------------------- #
 
 
-def test_flow_lut_process_block_matches_timed_path():
+def _flow_state(luts):
+    return {
+        record.key: (record.packets, record.bytes, record.first_seen_ps, record.last_seen_ps)
+        for lut in luts
+        for record in lut.flow_state
+    }
+
+
+def _telemetry_view(pipeline: TelemetryPipeline, packets: int):
+    return pipeline.report(), _books(pipeline, packets), pipeline.superspreaders()
+
+
+def test_flow_lut_process_block_matches_timed_path(monkeypatch):
+    """The oracle test: on every registered scenario and both column
+    backends, the functional bulk probe leaves the same totals, flow state
+    and telemetry as the cycle-accurate submit/drain loop."""
     packets = 300
-    descriptors = scenario_descriptors("zipf_mix", packets, seed=17)
-    block = DescriptorBlock.from_descriptors(descriptors)
+    for name in list_scenarios():
+        descriptors = scenario_descriptors(name, packets, seed=17)
+        timed = FlowLUT(CONFIG)
+        timed.flow_state = FlowStateTable(timeout_us=CONFIG.flow_timeout_us)
+        for descriptor in descriptors:
+            timed.submit_blocking(descriptor)
+        timed.drain()
+        tele_timed = _ample_telemetry(packets)
+        tele_timed.observe_outcomes(timed.results)
 
-    timed = FlowLUT(CONFIG)
-    timed.flow_state = FlowStateTable(timeout_us=CONFIG.flow_timeout_us)
-    for descriptor in descriptors:
-        timed.submit_blocking(descriptor)
-    timed.drain()
+        for stdlib in (False, True):
+            with monkeypatch.context() as patch:
+                if stdlib:
+                    patch.setattr(backend, "np", None)
+                elif backend.np is None:
+                    continue  # numpy-less environment: the stdlib leg covers it
+                bulk = FlowLUT(CONFIG)
+                bulk.flow_state = FlowStateTable(timeout_us=CONFIG.flow_timeout_us)
+                outcome = bulk.process_block(DescriptorBlock.from_descriptors(descriptors))
+                tele_bulk = _ample_telemetry(packets)
+                tele_bulk.observe_outcomes(outcome)
+            where = (name, "stdlib" if stdlib else "numpy")
+            assert len(outcome) == packets, where
+            assert (bulk.completed, bulk.hits, bulk.misses, bulk.new_flows) == (
+                timed.completed, timed.hits, timed.misses, timed.new_flows
+            ), where
+            assert bulk.insert_failures == timed.insert_failures, where
+            assert _flow_state([bulk]) == _flow_state([timed]), where
+            assert _telemetry_view(tele_bulk, packets) == _telemetry_view(
+                tele_timed, packets
+            ), where
 
-    bulk = FlowLUT(CONFIG)
-    bulk.flow_state = FlowStateTable(timeout_us=CONFIG.flow_timeout_us)
-    outcome = bulk.process_block(block)
 
-    assert (bulk.completed, bulk.hits, bulk.misses, bulk.new_flows) == (
-        timed.completed, timed.hits, timed.misses, timed.new_flows
-    )
-    assert bulk.insert_failures == timed.insert_failures
-    assert len(outcome) == packets
+def _drive_sharded(feed, packets, batch=100):
+    telemetry = _ample_telemetry(packets)
+    engine = ShardedFlowLUT(shards=4, config=CONFIG, on_batch=telemetry.observe_outcomes)
+    engine.attach_flow_state()
+    outcomes = []
+    for offset in range(0, packets, batch):
+        if isinstance(feed, DescriptorBlock):
+            outcomes.extend(engine.process_batch(feed.slice_rows(offset, offset + batch)).to_outcomes())
+        else:
+            outcomes.extend(engine.process_batch(feed[offset : offset + batch]))
+    return engine, telemetry, outcomes
 
-    def state(lut):
-        return {
-            record.key: (record.packets, record.bytes, record.first_seen_ps, record.last_seen_ps)
-            for record in lut.flow_state
-        }
 
-    assert state(bulk) == state(timed)
+def _assert_sharded_adapter_round_trip(name, packets):
+    """Sequence in == block in: same outcomes, books, flow state, telemetry."""
+    seq, tele_seq, out_seq = _drive_sharded(scenario_descriptors(name, packets, seed=23), packets)
+    col, tele_col, out_col = _drive_sharded(scenario_block(name, packets, seed=23), packets)
+    assert out_seq == out_col, name
+    assert seq.report() == col.report(), name
+    assert _flow_state(seq.shards) == _flow_state(col.shards), name
+    assert _telemetry_view(tele_seq, packets) == _telemetry_view(tele_col, packets), name
 
 
 def test_sharded_columnar_matches_object_path_on_every_scenario():
-    packets = 300
     for name in list_scenarios():
-        tele_obj = _ample_telemetry(packets)
-        tele_col = _ample_telemetry(packets)
-        obj = run_scenario_sharded(name, packets, shards=4, seed=23, telemetry=tele_obj)
-        col = run_scenario_columnar(name, packets, shards=4, seed=23, telemetry=tele_col)
-        assert col.totals() == obj.totals(), name
-        assert col.shard_completed == obj.shard_completed, name
-        assert tele_col.report() == tele_obj.report(), name
-        assert _books(tele_col, packets) == _books(tele_obj, packets), name
-        assert tele_col.superspreaders() == tele_obj.superspreaders(), name
+        _assert_sharded_adapter_round_trip(name, 300)
 
 
 @pytest.mark.parametrize("replication", [1, 2])
 def test_cluster_block_ingest_matches_object_path(replication):
+    """Adapter round trip at the cluster entrance: a descriptor sequence is
+    packed once and then is the block."""
     packets = 300
     tele = TelemetryConfig(
         heavy_hitter_capacity=8 * packets, spreader_sources=8 * packets
@@ -282,9 +320,18 @@ def test_cluster_block_ingest_matches_object_path(replication):
     assert col.flow_books() == obj.flow_books()
     assert col.flow_books()["balanced"]
     assert col.routed == obj.routed
-    merged_obj = obj.merged_telemetry()
-    merged_col = col.merged_telemetry()
-    assert _books(merged_col, packets) == _books(merged_obj, packets)
+    host_clock = ("parallel",)  # wall-clock section, differs run to run
+    assert {k: v for k, v in col.report().items() if k not in host_clock} == {
+        k: v for k, v in obj.report().items() if k not in host_clock
+    }
+    assert _flow_state(
+        shard for node in col.nodes.values() for shard in node.engine.shards
+    ) == _flow_state(
+        shard for node in obj.nodes.values() for shard in node.engine.shards
+    )
+    assert _telemetry_view(col.merged_telemetry(), packets) == _telemetry_view(
+        obj.merged_telemetry(), packets
+    )
 
 
 def test_cluster_block_ingest_on_every_scenario():
@@ -341,13 +388,7 @@ def test_fallback_backend_blocks_interoperate_with_numpy_blocks():
 
 
 def test_fallback_sharded_columnar_matches_object_path(no_numpy):
-    packets = 200
-    tele_obj = _ample_telemetry(packets)
-    tele_col = _ample_telemetry(packets)
-    obj = run_scenario_sharded("zipf_mix", packets, shards=4, seed=23, telemetry=tele_obj)
-    col = run_scenario_columnar("zipf_mix", packets, shards=4, seed=23, telemetry=tele_col)
-    assert col.totals() == obj.totals()
-    assert tele_col.report() == tele_obj.report()
+    _assert_sharded_adapter_round_trip("zipf_mix", 200)
 
 
 # --------------------------------------------------------------------------- #
@@ -363,7 +404,7 @@ def test_columnar_batches_record_stage_timings():
         engine.process_batch(block.take(range(offset, offset + 64)))
     histogram = obs.histogram(
         "repro_engine_stage_ns",
-        "Host-side duration of each batch stage (hash/steer/probe/drain/pack/telemetry)",
+        "Host-side duration of each batch stage (hash/steer/probe/pack/telemetry)",
         labels=("stage",),
     )
     samples = {labels["stage"]: child.count for labels, child in histogram.samples()}
@@ -371,7 +412,8 @@ def test_columnar_batches_record_stage_timings():
         samples["hash"] == samples["steer"] == samples["probe"] == samples["pack"]
         == engine.batches == 4
     )
-    assert samples["drain"] == 0  # the bulk probe leaves nothing in flight
+    assert set(samples) == {"hash", "steer", "probe", "pack", "telemetry"}
+    assert samples["telemetry"] == 0  # no on_batch consumer attached
     shard_counter = obs.counter(
         "repro_engine_shard_descriptors_total",
         "Descriptors ingested per shard",

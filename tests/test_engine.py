@@ -1,5 +1,7 @@
 """Sharded batch fast-path engine: partitioning, equivalence, batch taps."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analyzer import TrafficAnalyzer, TrafficAnalyzerConfig
@@ -10,11 +12,14 @@ from repro.engine import (
     run_all_scenarios_sharded,
     run_scenario_sharded,
     run_scenario_single,
+    run_scenario_timed,
     sharded_vs_single,
 )
+from repro.obs import MetricsRegistry, Observability
+from repro.obs.export import registry_snapshot
 from repro.reporting import run_sharded_scaling
 from repro.telemetry import TelemetryPipeline
-from repro.traffic import list_scenarios, scenario_descriptors
+from repro.traffic import list_scenarios, scenario_block, scenario_descriptors
 
 
 CONFIG = small_test_config()
@@ -27,13 +32,21 @@ CONFIG = small_test_config()
 
 def test_shard_selection_is_deterministic_and_total():
     engine = ShardedFlowLUT(shards=4, config=CONFIG)
+    engine.attach_flow_state()
     descriptors = scenario_descriptors("zipf_mix", 300, seed=3)
-    groups = engine.partition(descriptors)
-    assert sum(len(group) for group in groups) == len(descriptors)
+    engine.process_batch(descriptors)
+    # Every descriptor went to exactly the shard its key hashes to...
+    expected = [0, 0, 0, 0]
     for descriptor in descriptors:
         shard = engine.shard_of(descriptor.key_bytes)
         assert shard == engine.shard_of(descriptor.key_bytes)
-        assert descriptor in groups[shard]
+        expected[shard] += 1
+    assert engine.shard_completed == expected and sum(expected) == len(descriptors)
+    # ...and each shard holds exactly the flows pinned to it.
+    for index, shard in enumerate(engine.shards):
+        assert {key for key, _ in shard.live_flow_pairs()} == {
+            d.key_bytes for d in descriptors if engine.shard_of(d.key_bytes) == index
+        }
 
 
 def test_rejects_non_positive_shard_count():
@@ -46,17 +59,58 @@ def test_rejects_non_positive_shard_count():
 # --------------------------------------------------------------------------- #
 
 
-def test_process_batch_returns_every_outcome_in_completion_order():
+def test_process_batch_returns_every_outcome_in_row_order():
     engine = ShardedFlowLUT(shards=2, config=CONFIG)
     descriptors = scenario_descriptors("zipf_mix", 400, seed=5)
     outcomes = engine.process_batch(descriptors)
-    assert len(outcomes) == 400
     assert engine.completed == 400
     assert engine.batches == 1
-    stamps = [outcome.complete_ps for outcome in outcomes]
-    assert stamps == sorted(stamps)
+    # Sequence callers get one outcome per descriptor, in the order given.
+    assert [outcome.descriptor for outcome in outcomes] == descriptors
+    # Each shard is one device: its rows complete in the order they arrived.
+    for shard in range(2):
+        stamps = [
+            outcome.complete_ps
+            for outcome in outcomes
+            if engine.shard_of(outcome.descriptor.key_bytes) == shard
+        ]
+        assert stamps and stamps == sorted(stamps)
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+def test_empty_batches_are_not_batches(shards):
+    # Regression: an empty block used to count a batch and fire on_batch
+    # with 0 rows, while an empty list did neither.  One rule for both.
+    seen = []
+    obs = Observability(window_ps=1000)
+    engine = ShardedFlowLUT(shards=shards, config=CONFIG, on_batch=seen.append, obs=obs)
+    empty_block = scenario_block("zipf_mix", 0, seed=5)
     assert engine.process_batch([]) == []
-    assert engine.batches == 1  # empty batches are not counted
+    outcome = engine.process_batch(empty_block)
+    assert len(outcome) == 0 and outcome.to_outcomes() == []
+    assert engine.batches == 0 and seen == []
+    assert obs.metrics.get("repro_engine_batches_total").value() == 0
+    obs.flush_windows()
+    assert obs.windows.windows == []
+    assert ShardedFlowLUT(shards=shards, config=CONFIG).process_batch(empty_block).to_outcomes() == []
+
+
+def test_bad_descriptor_mid_sequence_raises_before_any_mutation():
+    registry = MetricsRegistry(clock=lambda: 0)
+    seen = []
+    engine = ShardedFlowLUT(shards=4, config=CONFIG, on_batch=seen.append, obs=registry)
+    descriptors = scenario_descriptors("zipf_mix", 200, seed=5)
+    engine.process_batch(descriptors[:100])
+    report = engine.report()
+    snapshot = registry_snapshot(registry)
+    # A key outside the 5-tuple layout (what an n-tuple extractor produces).
+    bad = list(descriptors[100:])
+    bad[50] = replace(bad[50], key_bytes=bad[50].key_bytes + b"\x00")
+    with pytest.raises(ValueError, match="5-tuple key layout"):
+        engine.process_batch(bad)
+    assert engine.report() == report
+    assert registry_snapshot(registry) == snapshot
+    assert len(seen) == 1
 
 
 def test_on_batch_callback_rides_every_batch():
@@ -139,6 +193,17 @@ def test_per_flow_outcomes_and_flow_ids_are_consistent():
     # Within the single LUT, distinct flows get distinct IDs (per-shard IDs
     # may collide numerically across shards, so only count them per path).
     assert len(set().union(*single_ids.values())) == len(single_ids)
+
+
+def test_timed_replay_steers_like_the_engine():
+    # replay_timed carries its own copy of the CRC-32 steering rule; the
+    # simulated scaling figures are only meaningful if it places every
+    # descriptor where the engine does.
+    timed = run_scenario_timed("zipf_mix", 400, shards=4, seed=13, batch_size=128)
+    engine = run_scenario_sharded("zipf_mix", 400, shards=4, seed=13, batch_size=128)
+    assert timed.shard_completed == engine.shard_completed
+    assert timed.totals() == engine.totals()
+    assert timed.elapsed_ps > engine.elapsed_ps  # cycle-accurate vs envelope
 
 
 def test_load_spreads_across_shards():

@@ -535,7 +535,8 @@ def _drive_engine(obs):
 def test_disabled_obs_engine_keeps_no_instrumentation_state():
     engine = _drive_engine(obs=None)
     assert engine.obs is None
-    assert not hasattr(engine, "_obs_stages")
+    assert engine.set_span_recorder(object()) is None  # no emit path to feed
+    assert not any(name.startswith("_obs") for name in vars(engine))
 
 
 def test_enabled_obs_engine_is_simulation_identical_and_metered():
@@ -555,8 +556,10 @@ def test_enabled_obs_engine_is_simulation_identical_and_metered():
     # Stage histograms saw every batch.
     stage_hist = registry.get("repro_engine_stage_ns")
     by_stage = {labels["stage"]: child for labels, child in stage_hist.samples()}
-    assert by_stage["steer"].count == metered.batches
-    assert by_stage["probe"].count == metered.batches
+    assert set(by_stage) == {"hash", "steer", "probe", "pack", "telemetry"}
+    for stage in ("hash", "steer", "probe", "pack"):
+        assert by_stage[stage].count == metered.batches, stage
+    assert by_stage["telemetry"].count == 0  # no on_batch consumer attached
     assert registry.get("repro_engine_batches_total").value() == metered.batches
 
 

@@ -325,7 +325,7 @@ def test_engine_windows_false_suppresses_plane_windows():
         shards=2, config=small_test_config(), obs=obs, windows=False
     )
     engine.process_batch(scenario_descriptors("zipf_mix", 200, seed=5))
-    assert engine._obs_windows is None
+    obs.flush_windows()
     assert obs.windows.windows == []
 
 
@@ -441,7 +441,9 @@ def test_cluster_span_hierarchy_is_complete():
     coordinator.ingest(descriptors)
     spans = obs.spans.spans
     names = {span.name for span in spans}
-    assert {"ingest_batch", "steer", "node", "shard", "probe"} <= names
+    assert names == {
+        "ingest_batch", "steer", "node", "hash", "shard", "probe", "pack", "telemetry"
+    }
     by_id = {span.span_id: span for span in spans}
     # Every parent reference resolves, and the causal chain terminates at
     # a root named ingest_batch.
@@ -460,6 +462,53 @@ def test_cluster_span_hierarchy_is_complete():
         cursor = by_id[cursor.parent_id]
         chain.append(cursor.name)
     assert "node" in chain
+
+
+def test_engine_batch_span_tree_tiles_the_stage_timings():
+    """The one ingest body: a batch's span tree and its stage histograms are
+    cut from the same clock reads, whatever the input representation."""
+    from repro.telemetry import TelemetryPipeline
+
+    descriptors = scenario_descriptors("zipf_mix", 120, seed=9)
+    obs = Observability(clock=FakeClock(), span_sample_every=1)
+    engine = ShardedFlowLUT(
+        shards=4,
+        config=small_test_config(),
+        on_batch=TelemetryPipeline(seed=9).observe_outcomes,
+        obs=obs,
+    )
+    engine.process_batch(descriptors)
+    spans = obs.spans.spans
+    (root,) = [span for span in spans if span.parent_id is None]
+    assert (root.name, root.attrs) == ("ingest_batch", {"packets": 120})
+    stages = sorted(
+        (span for span in spans if span.parent_id == root.span_id),
+        key=lambda span: span.start_ns,
+    )
+    shards = [span for span in stages if span.name == "shard"]
+    assert [span.name for span in stages] == (
+        ["hash", "steer"] + ["shard"] * len(shards) + ["pack", "telemetry"]
+    )
+    assert sum(span.attrs["packets"] for span in shards) == 120
+    # Stage spans tile the root with no gap: one clock read closes a stage
+    # and opens the next.
+    assert stages[0].start_ns == root.start_ns and stages[-1].end_ns == root.end_ns
+    assert all(a.end_ns == b.start_ns for a, b in zip(stages, stages[1:]))
+    # Each shard span wraps exactly its bulk probe.
+    for shard in shards:
+        (probe,) = [span for span in spans if span.parent_id == shard.span_id]
+        assert (probe.name, probe.start_ns, probe.end_ns) == (
+            "probe", shard.start_ns, shard.end_ns
+        )
+    stage_hist = obs.metrics.get("repro_engine_stage_ns")
+    sums = {labels["stage"]: child.sum for labels, child in stage_hist.samples()}
+    assert sums == {
+        "hash": 100.0,
+        "steer": 100.0,
+        "probe": 100.0 * len(shards),
+        "pack": 100.0,
+        "telemetry": 100.0,
+    }
 
 
 # --------------------------------------------------------------------- #

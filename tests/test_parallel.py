@@ -164,7 +164,8 @@ def test_process_matrix_matches_sequential(scenario, column_backend):
 
 
 def test_object_path_thread_matches_sequential():
-    """The non-columnar ingest path is executor-independent too."""
+    """Descriptor-sequence input (packed at the entrance) is
+    executor-independent too."""
 
     def run(executor):
         cluster = ClusterCoordinator(
@@ -202,11 +203,22 @@ def _span_stream(executor, sample_every):
 def test_thread_span_stream_is_bit_identical():
     sequential = _span_stream(SequentialExecutor(), sample_every=1)
     assert sequential  # the run actually traced something
-    assert {name for _, _, name, _ in sequential} >= {
+    assert {name for _, _, name, _ in sequential} == {
         "ingest_batch",
         "steer",
         "node",
+        "hash",
+        "shard",
+        "probe",
+        "pack",
+        "telemetry",
     }
+    # The root carries the segment size and nothing path-specific.
+    assert all(
+        attrs == {"packets": 200}
+        for _, parent, name, attrs in sequential
+        if parent is None
+    )
     assert _span_stream(ThreadExecutor(8), sample_every=1) == sequential
 
 
