@@ -1,6 +1,6 @@
 """Columnar batch structures: :class:`DescriptorBlock` and :class:`OutcomeBlock`.
 
-A :class:`DescriptorBlock` is the columnar twin of a ``List[PacketDescriptor]``:
+A :class:`DescriptorBlock` holds a batch of packet descriptors column-wise:
 one contiguous ``bytes`` buffer of packed engine keys plus parallel columns for
 lengths, timestamps and TCP flags::
 
@@ -14,7 +14,8 @@ Keys use the engine layout — the 5-tuple field order of
 ``PacketDescriptor.key_bytes`` holds, so block rows hash and probe
 byte-identically to the object path.  The :meth:`DescriptorBlock.packed_keys`
 view reorders bytes into the :meth:`repro.net.fivetuple.FlowKey.pack` layout
-that telemetry counters key on.
+that telemetry counters key on (:meth:`DescriptorBlock.packed_key_data` is
+the same column left contiguous, for column-wise hashing).
 
 Columns are numpy arrays when numpy is available and stdlib ``array.array``
 otherwise (see :mod:`repro.columns.backend`); both expose ``tolist`` and
@@ -23,8 +24,9 @@ backends interconvert freely.
 
 An :class:`OutcomeBlock` carries the Flow LUT's bulk-probe results for one
 block in the same columnar shape (flow ids, hit/new-flow flags, lookup
-stage codes, submit/complete times) and materialises per-object
-:class:`~repro.core.flow_lut.LookupOutcome` rows only on demand.
+stage codes, submit/complete times); :meth:`OutcomeBlock.to_outcomes` turns
+it into the :class:`~repro.core.flow_lut.LookupOutcome` list the replication
+transport and the list-returning entry points carry.
 """
 
 from __future__ import annotations
@@ -187,22 +189,26 @@ class DescriptorBlock:
             self._flow_key_cache = keys
         return self._flow_key_cache
 
-    def packed_keys(self) -> List[bytes]:
-        """Per-row keys in ``FlowKey.pack()`` byte order (telemetry's keying)."""
+    def packed_key_data(self) -> bytes:
+        """The key column in ``FlowKey.pack()`` byte order, keys back to back
+        (telemetry's keying: what its sketches hash column-wise)."""
         width = self.key_width
         if width != ENGINE_KEY_WIDTH:
-            return [key.pack() for key in self.flow_keys()]
+            return b"".join(key.pack() for key in self.flow_keys())
         np = backend.np
         if np is not None and len(self):
             arr = np.frombuffer(self.key_data, dtype=np.uint8).reshape(len(self), width)
-            packed = arr[:, list(_PACK_ORDER)].tobytes()
-            return [packed[i * width : (i + 1) * width] for i in range(len(self))]
+            return arr[:, list(_PACK_ORDER)].tobytes()
         data = self.key_data
-        out = []
-        for i in range(len(self)):
-            row = data[i * width : (i + 1) * width]
-            out.append(bytes(row[p] for p in _PACK_ORDER))
-        return out
+        return bytes(
+            data[base + p] for base in range(0, len(data), width) for p in _PACK_ORDER
+        )
+
+    def packed_keys(self) -> List[bytes]:
+        """Per-row keys in ``FlowKey.pack()`` byte order."""
+        packed = self.packed_key_data()
+        width = ENGINE_KEY_WIDTH
+        return [packed[offset : offset + width] for offset in range(0, len(packed), width)]
 
     def _field_column(self, offset: int, size: int) -> List[int]:
         np = backend.np
@@ -322,9 +328,7 @@ class OutcomeBlock:
 
     ``flow_ids`` uses ``-1`` for "no flow id" and ``first_paths`` uses ``-1``
     for "no first-path preference"; ``stages`` stores codes into
-    :data:`STAGES`.  ``to_outcomes`` materialises the per-object
-    :class:`~repro.core.flow_lut.LookupOutcome` list when a consumer (e.g.
-    the replication path) genuinely needs objects.
+    :data:`STAGES`.
     """
 
     __slots__ = ("block", "flow_ids", "hits", "new_flows", "stages", "first_paths", "submit_ps", "complete_ps")

@@ -9,21 +9,27 @@ The per-object hot path hashes one key at a time; this module hashes a whole
 * :class:`H3ColumnHasher` folds an H3 matrix into per-byte-position gather
   tables (``T[p][b]`` = XOR of the rows selected by byte value ``b`` at byte
   position ``p``), so a column hash is ``width`` table gathers XOR-reduced.
+  :func:`column_hasher` hands out one shared hasher per distinct function.
+* :func:`tabulation_column` gathers a :class:`TabulationHash`'s own per-byte
+  tables over a column of integer keys.
 
-Both reproduce the scalar functions (:data:`repro.hashing.crc.CRC32`,
-:class:`repro.hashing.h3.H3Hash`) bit-for-bit — the property tests in
-``tests/test_columns.py`` hold them to that across seeds and geometries.
-Without numpy (see :mod:`repro.columns.backend`) every function falls back
-to a stdlib per-key loop with identical results.
+All reproduce the scalar functions (:data:`repro.hashing.crc.CRC32`,
+:class:`repro.hashing.h3.H3Hash`,
+:class:`repro.hashing.tabulation.TabulationHash`) bit-for-bit — the property
+tests in ``tests/test_columns.py`` hold them to that across seeds and
+geometries.  Without numpy (see :mod:`repro.columns.backend`) every function
+falls back to a stdlib per-key loop with identical results.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
+import threading
+from typing import Dict, List, Sequence, Union
 
 from repro.columns import backend
 from repro.hashing.crc import CRC32, CRCHash
 from repro.hashing.h3 import H3Hash
+from repro.hashing.tabulation import TabulationHash
 
 ByteColumn = Union[bytes, bytearray, memoryview]
 
@@ -71,8 +77,9 @@ class H3ColumnHasher:
     The scalar :class:`~repro.hashing.h3.H3Hash` XORs one matrix row per set
     key *bit*; grouping rows eight at a time gives a 256-entry table per key
     *byte*, so hashing becomes ``width`` gathers regardless of how many bits
-    are set.  Building the tables costs ``width x 8 x 256`` XORs once per
-    hash function — amortised over every block the table serves.
+    are set.  Each table is built by doubling (``width x 256`` XORs); callers
+    on a hot path share one instance per function through
+    :func:`column_hasher` instead of compiling their own.
 
     Parameters
     ----------
@@ -98,10 +105,9 @@ class H3ColumnHasher:
             table = [0] * 256
             for bit in range(8):
                 row = rows[8 * position + bit]
-                bit_mask = 1 << bit
-                for byte in range(256):
-                    if byte & bit_mask:
-                        table[byte] ^= row
+                span = 1 << bit
+                for byte in range(span, 2 * span):
+                    table[byte] = table[byte - span] ^ row
             tables.append(table)
         self._tables = tables
         self._np_tables = None
@@ -136,6 +142,61 @@ class H3ColumnHasher:
                 value ^= tables[position][key[width - 1 - position]]
             out_list.append(value)
         return out_list
+
+
+# One compiled hasher per distinct H3 function and key width.  A cluster
+# holds one Count-Min pair per primary *and* per backup pipeline, all on one
+# telemetry seed, and one Hash-CAM table per shard on one config seed; their
+# gather tables are identical, so they are compiled once and shared (the
+# idiom of ``repro.hashing.tabulation._TABLE_CACHE``).  Hashers are
+# immutable once built, which is what makes sharing them across the thread
+# executor's workers safe; the lock only keeps two first callers from both
+# paying for the same build.  Bounded; eviction only costs a rebuild.
+_HASHER_CACHE: Dict[tuple, H3ColumnHasher] = {}
+_HASHER_CACHE_MAX = 64
+_HASHER_CACHE_LOCK = threading.Lock()
+
+
+def column_hasher(h3: H3Hash, width: int) -> H3ColumnHasher:
+    """The shared :class:`H3ColumnHasher` of ``h3`` for ``width``-byte keys."""
+    key = (tuple(h3.matrix), h3.output_bits, width)
+    hasher = _HASHER_CACHE.get(key)
+    if hasher is None:
+        with _HASHER_CACHE_LOCK:
+            hasher = _HASHER_CACHE.get(key)
+            if hasher is None:
+                hasher = H3ColumnHasher(h3, width)
+                if len(_HASHER_CACHE) >= _HASHER_CACHE_MAX:
+                    _HASHER_CACHE.pop(next(iter(_HASHER_CACHE)))
+                _HASHER_CACHE[key] = hasher
+    return hasher
+
+
+def tabulation_column(tab: TabulationHash, values: Sequence[int]):
+    """``tab.hash`` of every integer key of a column, in one pass.
+
+    ``values`` are non-negative integers that fit ``tab.key_bytes`` bytes
+    (the scalar hash raises :class:`OverflowError` beyond that, and so does
+    this).  Returns a list of Python integers on either backend: the one
+    consumer walks it row by row.
+    """
+    np = backend.np
+    key_bytes = tab.key_bytes
+    if np is None or key_bytes > 8 or tab.output_bits > 64:
+        hash_one = tab.hash
+        return [hash_one(value) for value in values]
+    tables = getattr(tab, "_column_gather_tables", None)
+    if tables is None:
+        tables = np.array(tab.tables, dtype=np.uint64)
+        tab._column_gather_tables = tables
+    keys = np.array(values, dtype=np.uint64)
+    if key_bytes < 8 and len(keys) and int(keys.max()) >> (8 * key_bytes):
+        raise OverflowError("int too big to convert")
+    out = np.zeros(len(keys), dtype=np.uint64)
+    for position in range(key_bytes):
+        shift = np.uint64(8 * (key_bytes - 1 - position))
+        out ^= tables[position][(keys >> shift) & np.uint64(0xFF)]
+    return out.tolist()
 
 
 def crc32_partition(

@@ -101,7 +101,6 @@ class HashCamTable:
         self.lookups = 0
         self.stage_hits = {stage: 0 for stage in LookupStage}
         self.insert_failures = 0
-        self._column_hashers: Dict[int, tuple] = {}
 
     # ------------------------------------------------------------------ #
     # Index helpers
@@ -117,30 +116,14 @@ class HashCamTable:
 
         ``key_data`` holds ``count`` keys of ``width`` bytes back to back;
         the two returned columns equal :meth:`hash_indices` applied per key.
-        The column hashers (one per H3 function, per key width) are built on
-        first use and cached for the table's lifetime.
+        The column hashers come from the process-wide memo
+        (:func:`repro.columns.hashing.column_hasher`), so every table built
+        on one seed shares one compiled pair.
         """
-        from repro.columns.hashing import H3ColumnHasher
-        from repro.hashing.h3 import H3Hash
+        from repro.columns.hashing import column_hasher
 
-        hashers = self._column_hashers.get(width)
-        if hashers is None:
-            functions = list(self._hashes)
-            if all(isinstance(fn, H3Hash) for fn in functions):
-                hashers = tuple(H3ColumnHasher(fn, width) for fn in functions)
-            else:  # non-H3 table (never the default config): per-key fallback
-                hashers = ()
-            self._column_hashers[width] = hashers
         buckets = self.buckets_per_memory
-        if not hashers:
-            view = memoryview(key_data)
-            pairs = [
-                self.hash_indices(bytes(view[i * width : (i + 1) * width]))
-                for i in range(count)
-            ]
-            return [p[0] for p in pairs], [p[1] for p in pairs]
-        h1 = hashers[0].hash_column(key_data, count)
-        h2 = hashers[1].hash_column(key_data, count)
+        h1, h2 = (column_hasher(fn, width).hash_column(key_data, count) for fn in self._hashes)
         if isinstance(h1, list):
             return [v % buckets for v in h1], [v % buckets for v in h2]
         return h1 % buckets, h2 % buckets

@@ -66,6 +66,11 @@ class TabulationHash:
             self._tables = _build_tables(key_bytes, output_bits, seed)
         self._mask = (1 << output_bits) - 1
 
+    @property
+    def tables(self) -> tuple:
+        """The per-byte-position lookup tables (read-only; possibly shared)."""
+        return tuple(self._tables)
+
     def _normalise(self, key: KeyLike) -> bytes:
         if isinstance(key, int):
             if key < 0:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.analyzer.event_engine import FlowEvent, FlowEventType
-from repro.columns.block import OutcomeBlock
-from repro.net.fivetuple import FlowKey, PROTO_TCP
+from repro.columns.block import DescriptorBlock, OutcomeBlock
+from repro.net.fivetuple import FLOW_KEY_BYTES, FlowKey, PROTO_TCP
 from repro.net.packet import Packet, TCP_FLAGS
 from repro.sim.rng import SeedLike, make_rng
 from repro.telemetry.flow_size import FlowSizeDistribution
@@ -199,64 +199,70 @@ class TelemetryPipeline:
     def observe_outcomes(self, outcomes) -> int:
         """Batch mode: account a whole batch of lookup outcomes at once.
 
-        This is the callback the sharded engine and the batched analyzer
-        invoke — one call per batch rather than one per packet.  Accepts
-        either an iterable of :class:`LookupOutcome` objects or a columnar
-        :class:`~repro.columns.OutcomeBlock` (measured straight off its
-        columns, with no descriptor or :class:`FlowKey` materialisation).
-        Returns the number of outcomes observed.
+        This is the callback the sharded engine, the replication plane and
+        the batched analyzer invoke — one call per batch rather than one per
+        packet.  Accepts a :class:`~repro.columns.OutcomeBlock` or an
+        iterable of :class:`LookupOutcome` objects; the latter is packed
+        into a block here, once (descriptors that carry no 5-tuple are
+        skipped), and both run the one block body.  Returns the number of
+        outcomes in the batch.
         """
         if isinstance(outcomes, OutcomeBlock):
-            return self._observe_block(outcomes)
+            self._observe_block(outcomes.block)
+            return len(outcomes)
         count = 0
+        rows = []
         for outcome in outcomes:
-            self.observe_outcome(outcome)
             count += 1
+            descriptor = outcome.descriptor
+            key = getattr(descriptor, "key", None)
+            if isinstance(key, FlowKey):  # pattern descriptors carry no 5-tuple
+                length = getattr(descriptor, "length_bytes", 0)
+                # The timestamp column stays zero: telemetry never reads it.
+                rows.append((key, length, 0, getattr(descriptor, "tcp_flags", 0)))
+        self._observe_block(DescriptorBlock.from_rows(rows))
         return count
 
-    def _observe_block(self, outcomes: OutcomeBlock) -> int:
-        """Columnar twin of :meth:`_observe`, row by row over block columns.
+    def _observe_block(self, block: DescriptorBlock) -> None:
+        """The batch body: hash by column, update by row.
 
-        The update sequence per row is identical to the object path —
-        packet sketch, then (for non-empty packets) byte sketch and heavy
-        hitters, then the two spreader detectors, then SYN accounting — so
-        a columnar run leaves every sketch in the same state the outcome
-        loop would.
+        The block's key column is hashed once per hash function — the two
+        sketches' Count-Min rows over the packed keys, each detector's one
+        bitmap hash over its destination column — and every structure then
+        takes its updates in row order, so each ends in exactly the state
+        :meth:`_observe` row by row would leave it in.  Rows that carry no
+        length touch neither the byte sketch nor the heavy hitters.
         """
-        block = outcomes.block
         count = len(block)
-        packed = block.packed_keys()
+        if not count:
+            return
+        packed = block.packed_key_data()
+        width = FLOW_KEY_BYTES
         lengths = block.lengths.tolist()
-        flags = block.flags.tolist()
-        src_ips = block.src_ips()
-        dst_ips = block.dst_ips()
-        dst_ports = block.dst_ports()
-        protocols = block.protocols()
-        syn_flag = TCP_FLAGS["SYN"]
-        ack_flag = TCP_FLAGS["ACK"]
-        packet_counts = self.packet_counts
-        byte_counts = self.byte_counts
-        heavy_hitters = self.heavy_hitters
-        spreaders = self.spreaders
-        port_scanners = self.port_scanners
         self.packets += count
-        total_bytes = 0
-        syn_packets = 0
-        for i in range(count):
-            key_bytes = packed[i]
-            length = lengths[i]
-            total_bytes += length
-            packet_counts.update(key_bytes)
-            if length > 0:  # descriptors, unlike packets, may carry no length
-                byte_counts.update(key_bytes, length)
-                heavy_hitters.update(key_bytes, length)
-            spreaders.update(src_ips[i], dst_ips[i])
-            port_scanners.update(src_ips[i], (dst_ips[i] << 16) | dst_ports[i])
-            if protocols[i] == PROTO_TCP and flags[i] & syn_flag and not flags[i] & ack_flag:
-                syn_packets += 1
-        self.bytes += total_bytes
-        self.syn_packets += syn_packets
-        return count
+        self.bytes += sum(lengths)
+        self.packet_counts.update_column(packed, width)
+        self.byte_counts.update_column(
+            packed, width, [length if length > 0 else 0 for length in lengths]
+        )
+        update = self.heavy_hitters.update
+        for offset, length in zip(range(0, len(packed), width), lengths):
+            if length > 0:
+                update(packed[offset : offset + width], length)
+        sources = block.src_ips()
+        destinations = block.dst_ips()
+        self.spreaders.update_column(sources, destinations)
+        self.port_scanners.update_column(
+            sources,
+            [(ip << 16) | port for ip, port in zip(destinations, block.dst_ports())],
+        )
+        bare_syn = TCP_FLAGS["SYN"]
+        syn_ack = bare_syn | TCP_FLAGS["ACK"]
+        self.syn_packets += sum(
+            1
+            for protocol, flags in zip(block.protocols(), block.flags.tolist())
+            if protocol == PROTO_TCP and flags & syn_ack == bare_syn
+        )
 
     def observe_event(self, event: FlowEvent) -> None:
         """Attached mode: account one flow event (flow-size accounting).

@@ -19,8 +19,10 @@ provided, both built on the repository's hardware-style hash families
 from __future__ import annotations
 
 import math
-from typing import List, Union
+from itertools import repeat
+from typing import List, Optional, Sequence
 
+from repro.columns.hashing import column_hasher
 from repro.hashing.h3 import KeyLike
 from repro.hashing.multi_hash import MultiHash
 from repro.hashing.tabulation import TabulationHash
@@ -143,6 +145,33 @@ class CountMinSketch:
         for row, index in zip(self._rows, self._hashes.indices(key, self.width)):
             row[index] += count
         self.total += count
+
+    def update_column(
+        self, key_data: bytes, width: int, counts: Optional[Sequence[int]] = None
+    ) -> None:
+        """Account every key of a packed column: :meth:`update` per row.
+
+        ``key_data`` holds ``width``-byte keys back to back; ``counts`` gives
+        each row's count (1 when omitted).  The keys are hashed column-wise,
+        once per row function (:func:`repro.columns.hashing.column_hasher`),
+        and the counters then take plain index adds, so the grid and
+        ``total`` end exactly as the per-row calls would leave them.
+        """
+        rows = len(key_data) // width
+        if counts is not None:
+            if len(counts) != rows:
+                raise ValueError(f"{len(counts)} counts for {rows} keys")
+            if rows and min(counts) < 0:
+                raise ValueError("count must be non-negative")
+        for row, function in zip(self._rows, self._hashes):
+            hashes = column_hasher(function, width).hash_column(key_data, rows)
+            if isinstance(hashes, list):
+                indices = [value % self.width for value in hashes]
+            else:
+                indices = (hashes % self.width).tolist()
+            for index, count in zip(indices, repeat(1) if counts is None else counts):
+                row[index] += count
+        self.total += rows if counts is None else sum(counts)
 
     def estimate(self, key: KeyLike) -> int:
         """Point query: an overestimate of ``key``'s true count (never under)."""
@@ -282,9 +311,33 @@ class DistinctCounter:
         """The bitmap as an integer, for snapshotting."""
         return self._bitmap
 
+    @property
+    def hash_function(self) -> TabulationHash:
+        """The bitmap hash (immutable; shared by every :meth:`spawn`)."""
+        return self._hash
+
+    def spawn(self) -> "DistinctCounter":
+        """A new empty counter of this geometry sharing this counter's hash.
+
+        What a table of counters on one seed admits a source with: no seed
+        is re-resolved and no hash rebuilt per counter.
+        """
+        counter = DistinctCounter.__new__(DistinctCounter)
+        counter.bitmap_bits = self.bitmap_bits
+        counter.key_bits = self.key_bits
+        counter._hash_seed = self._hash_seed
+        counter._hash = self._hash
+        counter._bitmap = 0
+        counter._bits_set = 0
+        counter.items_added = 0
+        return counter
+
     def add(self, item: KeyLike) -> None:
-        item = _key_bits_of(item, self.key_bits)
-        bit = 1 << (self._hash(item) % self.bitmap_bits)
+        self.add_hashed(self._hash(_key_bits_of(item, self.key_bits)))
+
+    def add_hashed(self, value: int) -> None:
+        """:meth:`add` an item whose :attr:`hash_function` value is ``value``."""
+        bit = 1 << (value % self.bitmap_bits)
         if not self._bitmap & bit:
             self._bitmap |= bit
             self._bits_set += 1

@@ -8,13 +8,23 @@ bounded table of sources with a per-source :class:`~repro.telemetry.sketches.
 DistinctCounter` bitmap: duplicate contacts to the same destination set the
 same bit and are not counted again, which is what separates a chatty flow
 from a spreading one.
+
+Every bitmap of a detector hashes with one shared function, and the eviction
+victim (fewest bits set, longest monitored among ties) comes off a *lazy
+min-heap* holding one ``(bits_set, admission order, source)`` entry per
+monitored source.  Bitmaps only ever gain bits, so an entry's ``bits_set``
+is a lower bound that is refreshed only when the entry surfaces at an
+eviction: admitting a source costs ``O(log max_sources)`` instead of a scan
+of the table, and recording a contact costs nothing extra.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
+from repro.columns.hashing import tabulation_column
 from repro.hashing.h3 import KeyLike
 from repro.sim.rng import SeedLike, make_rng
 from repro.telemetry.sketches import DistinctCounter
@@ -52,6 +62,12 @@ class SuperSpreaderDetector:
         key_bits: int = 64,
         seed: SeedLike = None,
     ) -> None:
+        self._setup(max_sources, bitmap_bits, threshold, key_bits, make_rng(seed).getrandbits(64))
+
+    def _setup(
+        self, max_sources: int, bitmap_bits: int, threshold: float, key_bits: int, seed: int
+    ) -> None:
+        """Construct an empty detector on an already *resolved* 64-bit seed."""
         if max_sources <= 0:
             raise ValueError("max_sources must be positive")
         if threshold <= 0:
@@ -60,8 +76,19 @@ class SuperSpreaderDetector:
         self.bitmap_bits = bitmap_bits
         self.threshold = threshold
         self.key_bits = key_bits
-        self._seed = make_rng(seed).getrandbits(64)
+        self._seed = seed
+        # The one empty counter — and with it the one bitmap hash — that
+        # every admitted source spawns from, so estimates are comparable.
+        self._blank = DistinctCounter.from_state(
+            bitmap_bits=bitmap_bits,
+            key_bits=key_bits,
+            hash_seed=self.counter_hash_seed,
+            bitmap=0,
+            items_added=0,
+        )
         self._counters: Dict[Hashable, DistinctCounter] = {}
+        self._heap: List[Tuple[int, int, Hashable]] = []
+        self._admissions = 0
         self.updates = 0
         self.evictions = 0
 
@@ -86,14 +113,8 @@ class SuperSpreaderDetector:
         """
         if len(sources) > max_sources:
             raise ValueError("more sources than the declared max_sources")
-        detector = cls(
-            max_sources=max_sources,
-            bitmap_bits=bitmap_bits,
-            threshold=threshold,
-            key_bits=key_bits,
-            seed=0,
-        )
-        detector._seed = hash_seed
+        detector = cls.__new__(cls)
+        detector._setup(max_sources, bitmap_bits, threshold, key_bits, hash_seed)
         counter_seed = detector.counter_hash_seed
         for source, counter in sources:
             if counter.bitmap_bits != bitmap_bits or counter.key_bits != key_bits:
@@ -107,6 +128,14 @@ class SuperSpreaderDetector:
             raise ValueError("updates and evictions must be non-negative")
         detector.updates = updates
         detector.evictions = evictions
+        # Snapshot order is admission order, which the eviction heap (not
+        # itself snapshotted) is rebuilt to.
+        detector._heap = [
+            (counter.bits_set, order, source)
+            for order, (source, counter) in enumerate(detector._counters.items())
+        ]
+        heapq.heapify(detector._heap)
+        detector._admissions = len(detector._heap)
         return detector
 
     @property
@@ -118,10 +147,10 @@ class SuperSpreaderDetector:
     def counter_hash_seed(self) -> int:
         """The derived seed every per-source bitmap actually hashes with.
 
-        ``_counter_for`` builds each bitmap as ``DistinctCounter(...,
-        seed=self._seed)``, and the counter resolves that seed-like input
-        to ``make_rng(seed).getrandbits(64)`` — so this, not ``_seed``
-        itself, is what a restored counter must carry to be mergeable.
+        A counter resolves a seed-like input to
+        ``make_rng(seed).getrandbits(64)``, and the detector's bitmaps have
+        always been seeded with ``_seed`` — so this, not ``_seed`` itself,
+        is what a restored counter must carry to be mergeable.
         """
         return make_rng(self._seed).getrandbits(64)
 
@@ -132,24 +161,59 @@ class SuperSpreaderDetector:
     def __len__(self) -> int:
         return len(self._counters)
 
+    def _evict(self) -> None:
+        """Drop the source with the fewest bits set (earliest admitted among
+        ties): exactly ``min(counters, key=bits_set)`` over admission order."""
+        heap = self._heap
+        while True:
+            bits, order, source = heap[0]
+            current = self._counters[source].bits_set
+            if current == bits:
+                heapq.heappop(heap)
+                del self._counters[source]
+                self.evictions += 1
+                return
+            heapq.heapreplace(heap, (current, order, source))
+
+    def _admit(self, source: Hashable) -> DistinctCounter:
+        """Start monitoring ``source`` with an empty bitmap (the caller has
+        made room)."""
+        counter = self._counters[source] = self._blank.spawn()
+        heapq.heappush(self._heap, (0, self._admissions, source))
+        self._admissions += 1
+        return counter
+
     def _counter_for(self, source: Hashable) -> DistinctCounter:
         counter = self._counters.get(source)
         if counter is not None:
             return counter
         if len(self._counters) >= self.max_sources:
-            # bits_set is a monotone proxy for estimate() and O(1) to read.
-            victim = min(self._counters, key=lambda s: self._counters[s].bits_set)
-            del self._counters[victim]
-            self.evictions += 1
-        # All counters share one hash seed so estimates are comparable.
-        counter = DistinctCounter(self.bitmap_bits, key_bits=self.key_bits, seed=self._seed)
-        self._counters[source] = counter
-        return counter
+            self._evict()
+        return self._admit(source)
 
     def update(self, source: Hashable, destination: KeyLike) -> None:
         """Record that ``source`` contacted ``destination``."""
         self._counter_for(source).add(destination)
         self.updates += 1
+
+    def update_column(self, sources: Sequence[Hashable], destinations: Sequence[int]) -> None:
+        """Record one contact per row: :meth:`update` row by row, in order.
+
+        The integer ``destinations`` are hashed as one column with the
+        detector's shared bitmap hash; admissions, evictions and bit sets
+        then run per row, so the table ends exactly as the per-row calls
+        would leave it.
+        """
+        if len(sources) != len(destinations):
+            raise ValueError(f"{len(sources)} sources for {len(destinations)} destinations")
+        mask = (1 << self.key_bits) - 1
+        hashes = tabulation_column(
+            self._blank.hash_function, [destination & mask for destination in destinations]
+        )
+        counter_for = self._counter_for
+        for source, value in zip(sources, hashes):
+            counter_for(source).add_hashed(value)
+        self.updates += len(hashes)
 
     def merge(self, other: "SuperSpreaderDetector") -> "SuperSpreaderDetector":
         """Union ``other``'s per-source bitmaps into this detector.
@@ -171,16 +235,11 @@ class SuperSpreaderDetector:
         for source, counter in other._counters.items():
             mine = self._counters.get(source)
             if mine is None:
-                mine = DistinctCounter(
-                    self.bitmap_bits, key_bits=self.key_bits, seed=self._seed
-                )
-                self._counters[source] = mine
+                mine = self._admit(source)
             mine.merge(counter)
         self.updates += other.updates
         while len(self._counters) > self.max_sources:
-            victim = min(self._counters, key=lambda s: self._counters[s].bits_set)
-            del self._counters[victim]
-            self.evictions += 1
+            self._evict()
         return self
 
     def fanout(self, source: Hashable) -> float:

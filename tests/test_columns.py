@@ -20,11 +20,22 @@ The stdlib fallback is exercised in-process by monkeypatching
 tier-1 suite under ``REPRO_NO_NUMPY=1``).
 """
 
+import sys
+import threading
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.columns import backend
+from repro.columns import hashing as column_hashing
 from repro.columns.block import ENGINE_KEY_WIDTH, DescriptorBlock, OutcomeBlock
-from repro.columns.hashing import H3ColumnHasher, crc32_column, crc32_partition
+from repro.columns.hashing import (
+    H3ColumnHasher,
+    column_hasher,
+    crc32_column,
+    crc32_partition,
+    tabulation_column,
+)
 from repro.core.config import small_test_config
 from repro.core.flow_lut import FlowLUT
 from repro.core.flow_state import FlowStateTable
@@ -33,6 +44,7 @@ from repro.cluster.ring import HashRing
 from repro.engine import ShardedFlowLUT
 from repro.hashing.crc import CRC32
 from repro.hashing.h3 import H3Hash
+from repro.hashing.tabulation import TabulationHash
 from repro.net.fivetuple import FlowKey
 from repro.obs import MetricsRegistry
 from repro.sim.rng import make_rng
@@ -177,6 +189,104 @@ def test_h3_column_rejects_too_wide_keys():
     h3 = H3Hash(key_bits=16, output_bits=8, seed=0)
     with pytest.raises(ValueError):
         H3ColumnHasher(h3, width=3)
+
+
+def test_h3_tables_built_by_doubling_match_the_definition():
+    """``T[p][b]`` is the XOR of the matrix rows the set bits of ``b`` select."""
+    h3 = H3Hash(key_bits=24, output_bits=32, seed=3)
+    rows = h3.matrix
+    for position, table in enumerate(H3ColumnHasher(h3, 3)._tables):
+        for byte in range(256):
+            expected = 0
+            for bit in range(8):
+                if byte >> bit & 1:
+                    expected ^= rows[8 * position + bit]
+            assert table[byte] == expected
+
+
+def test_column_hasher_is_shared_per_function_and_width():
+    width = ENGINE_KEY_WIDTH
+    first = column_hasher(H3Hash(8 * width, 32, seed=41), width)
+    assert column_hasher(H3Hash(8 * width, 32, seed=41), width) is first
+    assert column_hasher(H3Hash(8 * width, 32, seed=42), width) is not first
+    assert column_hasher(H3Hash(8 * width, 32, seed=41), width - 1) is not first
+    assert column_hasher(H3Hash(8 * width, 17, seed=41), width) is not first
+    with pytest.raises(ValueError):
+        column_hasher(H3Hash(16, 8, seed=0), 3)
+    # Two tables on one config seed probe through one compiled pair.
+    one, other = FlowLUT(CONFIG).table, FlowLUT(CONFIG).table
+    block = scenario_block("zipf_mix", 64, seed=5)
+    before = len(column_hashing._HASHER_CACHE)
+    one.column_hash_indices(block.key_data, len(block), block.key_width)
+    after = len(column_hashing._HASHER_CACHE)
+    other.column_hash_indices(block.key_data, len(block), block.key_width)
+    assert len(column_hashing._HASHER_CACHE) == after <= before + 2
+
+
+def test_column_hasher_memo_is_bounded_and_safe_under_threads():
+    """More workers than cores, more functions than the memo holds, a short
+    switch interval: every hand-out still hashes like its scalar function
+    and the memo never outgrows its bound."""
+    width = 4
+    seeds = range(column_hashing._HASHER_CACHE_MAX + 16)
+    data = _random_column(make_rng(1), 8, width)
+    expected = {
+        seed: [H3Hash(32, 32, seed=seed).hash(data[i * width : (i + 1) * width]) for i in range(8)]
+        for seed in seeds
+    }
+    wrong = []
+
+    def worker(offset):
+        for step in range(2 * len(seeds)):
+            seed = seeds[(offset + step) % len(seeds)]
+            column = column_hasher(H3Hash(32, 32, seed=seed), width).hash_column(data, 8)
+            if [int(value) for value in column] != expected[seed]:
+                wrong.append(seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(7 * n,)) for n in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert len(column_hashing._HASHER_CACHE) <= column_hashing._HASHER_CACHE_MAX
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    key_bytes=st.sampled_from([1, 4, 6, 8, 9]),
+    output_bits=st.sampled_from([9, 32, 64]),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_tabulation_column_matches_scalar(each_backend, key_bytes, output_bits, seed, data):
+    tab = TabulationHash(key_bytes, output_bits, seed=seed)
+    top = (1 << (8 * key_bytes)) - 1
+    values = data.draw(st.lists(st.integers(0, top) | st.sampled_from([0, top]), max_size=40))
+    expected = [tab.hash(value) for value in values]
+    for label, context in each_backend():
+        with context:
+            assert [int(h) for h in tabulation_column(tab, values)] == expected, label
+            with pytest.raises(OverflowError):  # as int.to_bytes in the scalar hash
+                tabulation_column(tab, values + [top + 1])
+
+
+@pytest.mark.parametrize("scenario", ["zipf_mix", "uniform_random"])
+def test_packed_key_data_is_the_pack_order_column(each_backend, scenario):
+    block = scenario_block(scenario, 90, seed=8)
+    expected = [key.pack() for key in block.flow_keys()]
+    for label, context in each_backend():
+        with context:
+            assert block.packed_key_data() == b"".join(expected), label
+            assert block.packed_keys() == expected, label
+    empty = block.slice_rows(0, 0)
+    assert empty.packed_key_data() == b"" and empty.packed_keys() == []
 
 
 def test_crc32_partition_matches_shard_of():

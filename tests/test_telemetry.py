@@ -3,10 +3,16 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analyzer import TrafficAnalyzer, TrafficAnalyzerConfig
 from repro.analyzer.event_engine import FlowEventType
+from repro.cluster import ClusterCoordinator
+from repro.columns.block import DescriptorBlock
 from repro.core.config import small_test_config
+from repro.core.flow_lut import FlowLUT
+from repro.net.fivetuple import FlowKey
+from repro.persist import dumps, loads
 from repro.telemetry import (
     CountMinSketch,
     DistinctCounter,
@@ -16,7 +22,8 @@ from repro.telemetry import (
     TelemetryConfig,
     TelemetryPipeline,
 )
-from repro.traffic import generate_scenario
+from repro.traffic import generate_scenario, list_scenarios, scenario_block
+from repro.traffic.patterns import PatternDescriptor
 
 
 # --------------------------------------------------------------------------- #
@@ -604,3 +611,359 @@ def test_space_saving_merge_rejects_mismatched_capacity():
     with pytest.raises(ValueError, match="capacities"):
         left.merge(SpaceSavingTracker(capacity=16))
     assert left.estimate("a") == 3  # guard fired before any mutation
+
+
+# --------------------------------------------------------------------------- #
+# The batch body: hash by column, update by row — to the bit
+# --------------------------------------------------------------------------- #
+
+
+def _detector_state(detector):
+    """Everything a detector holds, in admission order."""
+    return (
+        [
+            (source, counter.bitmap_value, counter.bits_set, counter.items_added)
+            for source, counter in detector.source_states()
+        ],
+        detector.updates,
+        detector.evictions,
+    )
+
+
+def _pipeline_state(pipeline):
+    return {
+        "packet_rows": pipeline.packet_counts.counter_rows(),
+        "packet_total": pipeline.packet_counts.total,
+        "byte_rows": pipeline.byte_counts.counter_rows(),
+        "byte_total": pipeline.byte_counts.total,
+        "heavy_entries": pipeline.heavy_hitters.entry_states(),
+        "heavy_top": pipeline.heavy_hitters.top(10),
+        "heavy_stats": pipeline.heavy_hitters.stats(),
+        "spreaders": _detector_state(pipeline.spreaders),
+        "port_scanners": _detector_state(pipeline.port_scanners),
+        "totals": (pipeline.packets, pipeline.bytes, pipeline.syn_packets),
+        "frame": dumps(pipeline),
+    }
+
+
+_SOURCES = st.integers(0, 11) | st.integers(0, 2**32 - 1)  # repeats and strangers
+_ROWS = st.lists(
+    st.tuples(
+        st.builds(
+            FlowKey,
+            src_ip=_SOURCES,
+            dst_ip=st.integers(0, 5) | st.integers(0, 2**32 - 1),
+            src_port=st.integers(0, 2**16 - 1),
+            dst_port=st.integers(0, 3) | st.integers(0, 2**16 - 1),
+            protocol=st.sampled_from([6, 17]),
+        ),
+        st.sampled_from([0, 0, 40, 64, 1500]) | st.integers(0, 9000),  # length
+        st.just(0),  # timestamp: telemetry never reads it
+        st.sampled_from([0x00, 0x02, 0x10, 0x12, 0x18]),  # tcp flags
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    cm_width=st.sampled_from([1, 7, 64, 2048]),
+    cm_depth=st.integers(1, 5),
+    capacity=st.sampled_from([1, 3, 128]),
+    max_sources=st.sampled_from([1, 4, 256]),  # 4: more distinct sources than slots
+    bitmap_bits=st.sampled_from([1, 8, 61, 512]),
+    blocks=st.lists(_ROWS, min_size=1, max_size=3),
+)
+def test_block_body_equals_the_per_row_loop_to_the_bit(
+    each_backend, seed, cm_width, cm_depth, capacity, max_sources, bitmap_bits, blocks
+):
+    config = TelemetryConfig(
+        cm_width=cm_width,
+        cm_depth=cm_depth,
+        heavy_hitter_capacity=capacity,
+        spreader_sources=max_sources,
+        spreader_bitmap_bits=bitmap_bits,
+    )
+    reference = TelemetryPipeline(config, seed=seed)
+    for rows in blocks:
+        for key, length, _, flags in rows:
+            reference._observe(key, length, flags)
+    expected = _pipeline_state(reference)
+    for label, context in each_backend():
+        with context:
+            pipeline = TelemetryPipeline(config, seed=seed)
+            for rows in blocks:
+                pipeline._observe_block(DescriptorBlock.from_rows(rows))
+            assert _pipeline_state(pipeline) == expected, label
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    key_bits=st.sampled_from([32, 48, 64, 72]),  # 72: past the vectorised widths
+    bitmap_bits=st.sampled_from([3, 8, 512]),
+    max_sources=st.sampled_from([1, 3, 16]),
+    contacts=st.lists(
+        st.tuples(st.integers(0, 20), st.integers(0, 7) | st.integers(0, 2**72)),
+        max_size=80,
+    ),
+    split=st.integers(0, 80),
+)
+def test_detector_column_update_equals_per_row_updates(
+    each_backend, seed, key_bits, bitmap_bits, max_sources, contacts, split
+):
+    def build():
+        return SuperSpreaderDetector(
+            max_sources, bitmap_bits, threshold=1.0, key_bits=key_bits, seed=seed
+        )
+
+    reference = build()
+    for source, destination in contacts:
+        reference.update(source, destination)
+    for label, context in each_backend():
+        with context:
+            detector = build()
+            for piece in (contacts[:split], contacts[split:]):
+                detector.update_column([s for s, _ in piece], [d for _, d in piece])
+            assert _detector_state(detector) == _detector_state(reference), label
+    with pytest.raises(ValueError):
+        build().update_column([1, 2], [3])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    width=st.sampled_from([1, 5, 256]),
+    depth=st.integers(1, 4),
+    key_width=st.sampled_from([1, 4, 13]),
+    keys=st.lists(st.integers(0, 3) | st.integers(0, 2**104 - 1), max_size=40),
+    weighted=st.booleans(),
+    data=st.data(),
+)
+def test_count_min_column_update_equals_per_row_updates(
+    each_backend, seed, width, depth, key_width, keys, weighted, data
+):
+    keys = [(key % (1 << (8 * key_width))).to_bytes(key_width, "big") for key in keys]
+    counts = (
+        data.draw(st.lists(st.integers(0, 5000), min_size=len(keys), max_size=len(keys)))
+        if weighted
+        else None
+    )
+    reference = CountMinSketch(width, depth, key_bits=104, seed=seed)
+    for index, key in enumerate(keys):
+        reference.update(key, 1 if counts is None else counts[index])
+    for label, context in each_backend():
+        with context:
+            sketch = CountMinSketch(width, depth, key_bits=104, seed=seed)
+            sketch.update_column(b"".join(keys), key_width, counts)
+            assert sketch.counter_rows() == reference.counter_rows(), label
+            assert sketch.total == reference.total, label
+
+
+def test_count_min_column_update_validates_before_mutating():
+    sketch = CountMinSketch(16, 2, key_bits=32, seed=1)
+    with pytest.raises(ValueError, match="non-negative"):
+        sketch.update_column(b"abcdwxyz", 4, [1, -1])
+    with pytest.raises(ValueError, match="counts"):
+        sketch.update_column(b"abcdwxyz", 4, [1])
+    with pytest.raises(ValueError):  # keys wider than the hash functions cover
+        sketch.update_column(b"abcdefgh", 8)
+    assert sketch.total == 0 and not any(map(any, sketch.counter_rows()))
+
+
+class _MinScanDetector:
+    """The reference eviction policy: an O(max_sources) ``min`` scan over the
+    table in admission (dict) order, one freshly seeded counter per source."""
+
+    def __init__(self, max_sources, bitmap_bits, seed):
+        self.max_sources, self.bitmap_bits, self.seed = max_sources, bitmap_bits, seed
+        self.counters = {}
+        self.victims = []
+
+    def update(self, source, destination):
+        counter = self.counters.get(source)
+        if counter is None:
+            if len(self.counters) >= self.max_sources:
+                victim = min(self.counters, key=lambda s: self.counters[s].bits_set)
+                del self.counters[victim]
+                self.victims.append(victim)
+            counter = self.counters[source] = DistinctCounter(self.bitmap_bits, seed=self.seed)
+        counter.add(destination)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    max_sources=st.integers(1, 6),
+    bitmap_bits=st.sampled_from([2, 4, 64]),  # tiny bitmaps: ties everywhere
+    contacts=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 9)), max_size=120),
+)
+def test_lazy_heap_evicts_exactly_the_min_scan_victims(seed, max_sources, bitmap_bits, contacts):
+    detector = SuperSpreaderDetector(max_sources, bitmap_bits, seed=seed)
+    reference = _MinScanDetector(max_sources, bitmap_bits, detector.hash_seed)
+    victims = []
+    for source, destination in contacts:
+        before = [s for s, _ in detector.source_states()]
+        detector.update(source, destination)
+        after = {s for s, _ in detector.source_states()}
+        victims += [s for s in before if s not in after]
+        reference.update(source, destination)
+    assert victims == reference.victims
+    assert detector.evictions == len(victims)
+    assert [
+        (source, counter.bitmap_value) for source, counter in detector.source_states()
+    ] == [(source, counter.bitmap_value) for source, counter in reference.counters.items()]
+
+
+def test_admitted_sources_share_the_detector_hash():
+    detector = SuperSpreaderDetector(max_sources=4, bitmap_bits=64, seed=3)
+    for source in range(9):
+        detector.update(source, source)
+    hashes = {id(counter.hash_function) for _, counter in detector.source_states()}
+    assert len(hashes) == 1
+    assert {counter.hash_seed for _, counter in detector.source_states()} == {
+        detector.counter_hash_seed
+    }
+    # The shared function is the one a standalone counter on that seed builds.
+    lone = DistinctCounter(64, seed=detector.hash_seed)
+    lone.add(77)
+    spawned = lone.spawn()
+    spawned.add(77)
+    assert (spawned.bitmap_value, spawned.items_added) == (lone.bitmap_value, 1)
+    assert spawned.hash_function is lone.hash_function
+
+
+def _full_detector(seed, prefix="old"):
+    """A detector with every slot taken and distinct bit counts per source."""
+    detector = SuperSpreaderDetector(max_sources=6, bitmap_bits=128, threshold=3.0, seed=seed)
+    for index in range(6):
+        for destination in range(1 + (index * 5) % 4):
+            detector.update(f"{prefix}{index}", destination)
+    assert len(detector) == detector.max_sources
+    return detector
+
+
+def _all_distinct_stream(detector):
+    for index in range(40):
+        for destination in range(1 + index % 3):
+            detector.update(f"new{index}", 1000 + destination)
+
+
+def test_restored_detector_evicts_like_its_unrestored_twin():
+    twin = _full_detector(seed=12)
+    restored = loads(dumps(_full_detector(seed=12)))
+    _all_distinct_stream(twin)
+    _all_distinct_stream(restored)
+    assert restored.evictions == twin.evictions > 0
+    assert _detector_state(restored) == _detector_state(twin)
+    assert restored.superspreaders() == twin.superspreaders()
+
+
+def test_merged_detector_evicts_like_a_twin_merged_the_same_way():
+    def merged():
+        return _full_detector(seed=13).merge(_full_detector(seed=13, prefix="other"))
+
+    twin, restored = merged(), loads(dumps(merged()))
+    assert twin.evictions == 6 and len(twin) == twin.max_sources
+    _all_distinct_stream(twin)
+    _all_distinct_stream(restored)
+    # The reference: the same union (in a table roomy enough to hold it
+    # whole), trimmed and then streamed under the min-scan policy.
+    union = SuperSpreaderDetector(max_sources=12, bitmap_bits=128, seed=13)
+    union.merge(_full_detector(seed=13)).merge(_full_detector(seed=13, prefix="other"))
+    reference = _MinScanDetector(6, 128, twin.hash_seed)
+    reference.counters = dict(union.source_states())
+    while len(reference.counters) > 6:
+        del reference.counters[
+            min(reference.counters, key=lambda s: reference.counters[s].bits_set)
+        ]
+    for index in range(40):
+        for destination in range(1 + index % 3):
+            reference.update(f"new{index}", 1000 + destination)
+    expected = [(s, c.bitmap_value) for s, c in reference.counters.items()]
+    for detector in (twin, restored):
+        assert [(s, c.bitmap_value) for s, c in detector.source_states()] == expected
+    assert _detector_state(restored) == _detector_state(twin)
+    assert restored.superspreaders() == twin.superspreaders()
+
+
+# --------------------------------------------------------------------------- #
+# The list entrance of the batch body
+# --------------------------------------------------------------------------- #
+
+
+def test_outcome_list_entrance_equals_block_entrance_on_every_scenario(each_backend):
+    for name in list_scenarios():
+        lut = FlowLUT(small_test_config())
+        outcomes = lut.process_block(scenario_block(name, 240, seed=19))
+        for label, context in each_backend():
+            with context:
+                from_block = TelemetryPipeline(seed=19)
+                from_list = TelemetryPipeline(seed=19)
+                assert from_block.observe_outcomes(outcomes) == 240
+                assert from_list.observe_outcomes(outcomes.to_outcomes()) == 240
+                assert dumps(from_list) == dumps(from_block), (name, label)
+                assert from_list.report() == from_block.report(), (name, label)
+
+
+def test_outcome_list_with_pattern_descriptors_counts_only_five_tuples():
+    class Outcome:
+        def __init__(self, descriptor):
+            self.descriptor = descriptor
+
+    key = FlowKey(1, 2, 3, 4, 6)
+    measured = PatternDescriptor(
+        key_bytes=b"\x00" * 13, bucket_indices=(0, 1), key=key, length_bytes=0
+    )
+    sized = PatternDescriptor(key_bytes=b"\x01" * 13, bucket_indices=(0, 1), key=key)
+    bare = PatternDescriptor(key_bytes=b"\x02" * 13, bucket_indices=(2, 3))
+    pipeline = TelemetryPipeline(seed=1)
+    batch = [Outcome(bare), Outcome(measured), Outcome(bare), Outcome(sized)]
+    assert pipeline.observe_outcomes(batch) == 4
+    assert pipeline.observe_outcomes(iter([Outcome(bare)])) == 1
+    assert (pipeline.packets, pipeline.bytes) == (2, 64)
+    assert pipeline.estimate_packets(key) == 2
+    assert pipeline.heavy_hitters.total == 64  # the zero-length row is not sized
+    reference = TelemetryPipeline(seed=1)
+    for outcome in batch:
+        reference.observe_outcome(outcome)
+    assert dumps(pipeline) == dumps(reference)
+
+
+def test_empty_batches_are_no_ops(each_backend):
+    pipeline = TelemetryPipeline(seed=2)
+    untouched = dumps(pipeline)
+    lut = FlowLUT(small_test_config())
+    empty = lut.process_block(scenario_block("zipf_mix", 8, seed=1).slice_rows(0, 0))
+    for label, context in each_backend():
+        with context:
+            assert pipeline.observe_outcomes([]) == 0
+            assert pipeline.observe_outcomes(empty) == 0
+            assert dumps(pipeline) == untouched, label
+
+
+def test_promotion_after_k2_ingest_keeps_the_merged_top_k():
+    packets = 900
+    block = scenario_block("zipf_mix", packets, seed=23)
+    config = TelemetryConfig(heavy_hitter_capacity=4096)  # merge is exact: no evictions
+
+    def fleet():
+        return ClusterCoordinator(
+            nodes=4, config=small_test_config(), telemetry_config=config,
+            telemetry_seed=23, replication=2,
+        )
+
+    steady, failing = fleet(), fleet()
+    for coordinator in (steady, failing):
+        coordinator.ingest(block.slice_rows(0, 600))
+    victim = max(failing.nodes, key=lambda n: failing.nodes[n].completed)
+    event = failing.fail_node(victim)
+    assert event["recovery"] == "replicas" and event["telemetry_packets_lost"] == 0
+    for coordinator in (steady, failing):
+        coordinator.ingest(block.slice_rows(600, packets))
+    survived, expected = failing.merged_telemetry(), steady.merged_telemetry()
+    assert survived.packets == expected.packets == packets
+    assert survived.top_talkers(10) == expected.top_talkers(10)
+    assert survived.packet_counts.counter_rows() == expected.packet_counts.counter_rows()
+    assert survived.superspreaders() == expected.superspreaders()
