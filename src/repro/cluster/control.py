@@ -58,36 +58,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.cluster.load_signal import window_node_loads
 from repro.obs.windows import WindowSnapshot
-
-OUTCOMES_METRIC = "repro_engine_outcomes_total"
-
-
-def window_node_loads(window: WindowSnapshot, node_ids) -> Dict[str, float]:
-    """Per-node completed descriptors (hit + miss deltas) in one window.
-
-    Nodes in ``node_ids`` absent from the window's series read 0.0; series
-    entries for departed nodes are ignored.  This counter is maintained
-    under every executor (engines credit it inline; the process barrier
-    reconciles it), which is what makes it the control loop's load signal.
-    """
-    loads: Dict[str, float] = {node_id: 0.0 for node_id in node_ids}
-    for result in ("hit", "miss"):
-        grouped = window.values(
-            OUTCOMES_METRIC, where={"result": result}, group_by="node"
-        )
-        for node_id, value in grouped.items():
-            if node_id in loads:
-                loads[node_id] += value
-    return loads
-
-
-def window_imbalance(loads: Dict[str, float]) -> float:
-    """Busiest node's window load over the mean (0.0 for an idle window)."""
-    total = sum(loads.values())
-    if total <= 0 or not loads:
-        return 0.0
-    return max(loads.values()) * len(loads) / total
+from repro.sim.stats import busiest_over_mean
 
 
 @dataclass(frozen=True)
@@ -270,16 +243,20 @@ class ClusterControl:
             self.windows_seen += 1
             if self.rebalance is not None:
                 self._refresh_flow_deltas()
+            # One read of the window's load signal serves both policies: the
+            # rebalancer only runs when the autoscaler left membership alone.
+            loads = window_node_loads([window], self.coordinator.nodes)
             action: Optional[ControlAction] = None
             if self.autoscale is not None:
-                action = self._autoscale_step(window)
+                action = self._autoscale_step(window, loads)
             if action is None and self.rebalance is not None:
-                action = self._rebalance_step(window)
+                action = self._rebalance_step(window, loads)
             if action is not None:
                 taken.append(action)
         return taken
 
-    def _record(self, action: ControlAction) -> ControlAction:
+    def _record(self, kind: str, window: WindowSnapshot, detail: dict) -> ControlAction:
+        action = ControlAction(kind=kind, window=window.index, detail=detail)
         self.actions.append(action)
         migrated = action.detail.get("migrated")
         if isinstance(migrated, int):
@@ -316,12 +293,13 @@ class ClusterControl:
 
     # -- autoscaling ---------------------------------------------------------
 
-    def _autoscale_step(self, window: WindowSnapshot) -> Optional[ControlAction]:
+    def _autoscale_step(
+        self, window: WindowSnapshot, loads: Dict[str, float]
+    ) -> Optional[ControlAction]:
         policy = self.autoscale
         if self._autoscale_cooldown > 0:
             self._autoscale_cooldown -= 1
             return None
-        loads = window_node_loads(window, self.coordinator.nodes)
         total = sum(loads.values())
         if total <= 0:
             # Windows crossed in one advance close empty; an empty window
@@ -354,13 +332,7 @@ class ClusterControl:
         event = self.coordinator.add_node(node_id)
         self._up_streak = 0
         self._autoscale_cooldown = policy.cooldown_windows
-        return self._record(
-            ControlAction(
-                kind="add_node",
-                window=window.index,
-                detail={**event, "mean_node_packets": mean},
-            )
-        )
+        return self._record("add_node", window, {**event, "mean_node_packets": mean})
 
     def _scale_down(
         self, window: WindowSnapshot, loads: Dict[str, float], mean: float
@@ -370,23 +342,18 @@ class ClusterControl:
         event = self.coordinator.remove_node(victim)
         self._down_streak = 0
         self._autoscale_cooldown = policy.cooldown_windows
-        return self._record(
-            ControlAction(
-                kind="remove_node",
-                window=window.index,
-                detail={**event, "mean_node_packets": mean},
-            )
-        )
+        return self._record("remove_node", window, {**event, "mean_node_packets": mean})
 
     # -- rebalancing ---------------------------------------------------------
 
-    def _rebalance_step(self, window: WindowSnapshot) -> Optional[ControlAction]:
+    def _rebalance_step(
+        self, window: WindowSnapshot, loads: Dict[str, float]
+    ) -> Optional[ControlAction]:
         policy = self.rebalance
-        loads = window_node_loads(window, self.coordinator.nodes)
         total = sum(loads.values())
         if total < policy.min_window_packets or len(loads) < 2:
             return None
-        imbalance = window_imbalance(loads)
+        imbalance = busiest_over_mean(loads.values())
         if imbalance <= policy.release:
             # Below the release line the fleet is balanced: disengage and
             # re-arm.  This is the hysteresis exit — between release and
@@ -464,13 +431,7 @@ class ClusterControl:
         if not assignments:
             return None
         event = self.coordinator.pin_flows(assignments)
-        return self._record(
-            ControlAction(
-                kind="pin",
-                window=window.index,
-                detail={**event, "node": hot_id},
-            )
-        )
+        return self._record("pin", window, {**event, "node": hot_id})
 
     def _shift_weight(
         self, window: WindowSnapshot, hot_id: str, loads: Dict[str, float]
@@ -498,9 +459,7 @@ class ClusterControl:
             event = self.coordinator.set_node_weight(
                 cold_id, weights[cold_id] + policy.weight_step
             )
-        return self._record(
-            ControlAction(kind="reweight", window=window.index, detail=dict(event))
-        )
+        return self._record("reweight", window, dict(event))
 
     # -- reporting -----------------------------------------------------------
 

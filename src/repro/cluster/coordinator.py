@@ -41,6 +41,7 @@ from repro.columns.block import DescriptorBlock
 from repro.core.config import FlowLUTConfig, small_test_config
 from repro.core.flow_lut import LookupOutcome
 from repro.core.flow_state import FlowRecord
+from repro.cluster.load_signal import OUTCOMES_METRIC, window_node_loads
 from repro.cluster.node import ClusterNode
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.obs.alerts import default_cluster_rules
@@ -55,6 +56,7 @@ from repro.persist import (
     loads,
 )
 from repro.sim.rng import SeedLike
+from repro.sim.stats import busiest_over_mean
 from repro.telemetry.pipeline import TelemetryConfig, TelemetryPipeline
 
 DEFAULT_BATCH_SIZE = 512
@@ -134,15 +136,13 @@ class ClusterCoordinator:
         steered on the caller thread, node work runs on the pool, and all
         order-sensitive effects (replication, checkpoint triggers, window
         advance, span grafting) are applied at a per-segment barrier in
-        stable node order — see :mod:`repro.parallel`.  With the process
-        executor, nodes are built *without* the shared obs plane (they
-        cross a process boundary by pickle; a registry cannot), and the
-        coordinator re-credits each node's hit/miss/new-flow outcome
-        counters from its accounting at the barrier so windowed outcome
-        totals still match; per-stage timings, span traces and per-shard
-        counters are a thread/sequential-mode feature.  Call
-        :meth:`close` (or reuse one shared executor) when done with a
-        pool-backed coordinator.
+        stable node order — see :mod:`repro.parallel`.  Process-executor
+        nodes are built without the shared obs plane (a registry cannot
+        cross the pickle boundary); the barrier re-credits their outcome
+        counters (:meth:`_credit_outcomes`), while stage timings, span
+        traces and per-shard counters stay thread/sequential-mode
+        features.  Call :meth:`close` (or reuse one shared executor) when
+        done with a pool-backed coordinator.
     """
 
     def __init__(
@@ -197,8 +197,6 @@ class ClusterCoordinator:
         # Host-side parallel ingestion accounting (see parallel_report).
         self._segments = 0
         self._steer_ns = 0
-        self._busy_ns = 0
-        self._critical_ns = 0
         self._wall_ns = 0
         self._node_busy_ns: Dict[str, int] = {}
 
@@ -261,9 +259,7 @@ class ClusterCoordinator:
                     continue
                 data = file.read_bytes()
                 try:
-                    snapshot = load_node_snapshot(
-                        data, obs=self.obs.metrics if self.obs is not None else None
-                    )
+                    snapshot = self._load_snapshot(data)
                 except Exception as error:
                     raise ValueError(
                         f"checkpoint file {file} is not a readable node "
@@ -276,13 +272,9 @@ class ClusterCoordinator:
                         "another node's state use add_node(snapshot=<path>)"
                     )
                 self.checkpoints[file.stem] = data
-                if self.obs is not None:
-                    self.obs.record(
-                        "checkpoint_load",
-                        node=file.stem,
-                        source="disk",
-                        size_bytes=len(data),
-                    )
+                self._journal(
+                    "checkpoint_load", node=file.stem, source="disk", size_bytes=len(data)
+                )
         # Steering overrides: flow key -> node id, consulted before the ring.
         # The rebalance policy pins individual hot flows onto explicit
         # owners (weight changes move whole arcs; a handful of elephant
@@ -452,7 +444,6 @@ class ClusterCoordinator:
             # Barrier, pass 1 — adopt worker state.  A process executor
             # returns round-tripped node copies; they must all be resident
             # before any replication below mirrors outcomes onto backups.
-            max_busy_ns = 0
             for result in results:
                 if result.node is not self.nodes[result.node_id]:
                     self.nodes[result.node_id] = result.node
@@ -460,8 +451,6 @@ class ClusterCoordinator:
                     spans.graft(result.recorder, parent_id)
                 busy = self._node_busy_ns.get(result.node_id, 0)
                 self._node_busy_ns[result.node_id] = busy + result.busy_ns
-                if result.busy_ns > max_busy_ns:
-                    max_busy_ns = result.busy_ns
             # Barrier, pass 2 — order-sensitive effects, membership order.
             for work, result in zip(works, results):
                 node_id = result.node_id
@@ -482,15 +471,6 @@ class ClusterCoordinator:
         t_end = time.perf_counter_ns()
         self._segments += 1
         self._steer_ns += t_steered - t_start
-        # The modeled fleet-parallel cost of the segment: the serial parts
-        # (steer, dispatch, barrier — wall minus the workers' busy time,
-        # clamped at 0 for hosts that genuinely overlapped the workers)
-        # plus the slowest worker.  On a single-core host the measured
-        # wall degenerates to the busy sum; this figure is what node-count
-        # scaling is judged against.
-        busy_ns = sum(result.busy_ns for result in results)
-        self._busy_ns += busy_ns
-        self._critical_ns += max((t_end - t_start) - busy_ns, 0) + max_busy_ns
         self._wall_ns += t_end - t_start
         self.ingested += count
         if self.obs is not None:
@@ -514,49 +494,37 @@ class ClusterCoordinator:
         traces remain thread/sequential-mode features.
         """
         node = self.nodes[node_id]
-        hits, misses, flows = node.hits, node.misses, node.new_flows
-        prev_hits, prev_misses, prev_flows = self._outcome_marks.get(node_id, (0, 0, 0))
-        if (hits, misses, flows) == (prev_hits, prev_misses, prev_flows):
+        marks = (node.hits, node.misses, node.new_flows)
+        previous = self._outcome_marks.get(node_id, (0, 0, 0))
+        if marks == previous:
             return
         counter = self.obs.metrics.counter(
-            "repro_engine_outcomes_total",
+            OUTCOMES_METRIC,
             "Lookup outcomes by result (hit/miss/new_flow)",
             labels=("node", "result"),
         )
-        if hits != prev_hits:
-            counter.inc(hits - prev_hits, node=node_id, result="hit")
-        if misses != prev_misses:
-            counter.inc(misses - prev_misses, node=node_id, result="miss")
-        if flows != prev_flows:
-            counter.inc(flows - prev_flows, node=node_id, result="new_flow")
-        self._outcome_marks[node_id] = (hits, misses, flows)
+        for result, now, before in zip(("hit", "miss", "new_flow"), marks, previous):
+            if now != before:
+                counter.inc(now - before, node=node_id, result=result)
+        self._outcome_marks[node_id] = marks
 
     def parallel_report(self) -> dict:
         """Host-side ingestion cost accounting for the configured executor.
 
-        ``critical_path_ns`` models each segment as serial steering + the
-        slowest node's measured busy time + the serial barrier tail — the
-        wall-clock a fleet-parallel host achieves; ``wall_ns`` is the raw
-        measured wall (on a single-core host it degenerates to the busy
-        sum).  ``aggregate_mdesc_s`` is ingested descriptors over the
-        critical path — the figure ``BENCH_parallel.json`` tracks against
-        node count.
+        Everything here is measured: ``wall_ns`` is the wall clock spent
+        inside :meth:`ingest` (``steer_ns`` of it steering on the caller
+        thread), ``wall_mdesc_s`` is ingested descriptors over that wall,
+        and ``per_node_busy_ns`` is each node's worker-thread CPU time.
         """
-        def mdesc_s(ns: int) -> float:
-            return self.ingested * 1e3 / ns if ns > 0 else 0.0
-
         return {
             "mode": self.executor.kind,
             "workers": self.executor.workers,
             "segments": self._segments,
             "ingested": self.ingested,
             "steer_ns": self._steer_ns,
-            "busy_ns": self._busy_ns,
-            "critical_path_ns": self._critical_ns,
             "wall_ns": self._wall_ns,
+            "wall_mdesc_s": self.ingested * 1e3 / self._wall_ns if self._wall_ns else 0.0,
             "per_node_busy_ns": dict(sorted(self._node_busy_ns.items())),
-            "aggregate_mdesc_s": mdesc_s(self._critical_ns),
-            "wall_mdesc_s": mdesc_s(self._wall_ns),
         }
 
     def close(self) -> None:
@@ -601,25 +569,38 @@ class ClusterCoordinator:
         reconstructs the dead primary's histogram too, not only its
         streaming sketches.
         """
-        if self.replication <= 1:
-            return sum(node.run_housekeeping(now_ps) for node in self.nodes.values())
         removed = 0
         for node in list(self.nodes.values()):
             expired: List[Tuple[bytes, FlowRecord]] = []
             removed += node.run_housekeeping(now_ps, expired)
-            if len(self.ring) < 2:
-                continue  # running alone: no backups to purge or mirror into
-            for key_bytes, record in expired:
-                # After a resync exactly the key's current backup holds a
-                # copy, so only the replica set needs touching.
-                for backup_id in self.backups_of(key_bytes):
-                    backup = self.nodes[backup_id]
-                    backup.replica_flows.drop(key_bytes)
-                    if self.telemetry_enabled:
-                        backup.backup_pipeline(node.node_id).flow_sizes.observe_flow(
-                            record.packets, record.bytes
-                        )
+            self._mirror_sizings(node.node_id, expired, ended=True)
         return removed
+
+    def _mirror_sizings(
+        self,
+        primary_id: str,
+        flows: Iterable[Tuple[bytes, Optional[FlowRecord]]],
+        ended: bool,
+    ) -> None:
+        """Mirror flow sizings a primary just recorded into the backup plane.
+
+        Each record sized into ``primary_id``'s flow-size histogram is sized
+        into the key's backup pipeline as well; an ``ended`` (expired)
+        flow's replica copy is dropped in the same step.  After a resync
+        exactly the key's current backup holds a copy, so only the replica
+        set needs touching — and :meth:`backups_of` is empty with
+        replication off or a one-node ring, which makes this a no-op there.
+        """
+        for key_bytes, record in flows:
+            for backup_id in self.backups_of(key_bytes):
+                backup = self.nodes[backup_id]
+                if ended:
+                    backup.replica_flows.drop(key_bytes)
+                # Bare preloaded entries (no record) are never sized.
+                if self.telemetry_enabled and record is not None:
+                    backup.backup_pipeline(primary_id).flow_sizes.observe_flow(
+                        record.packets, record.bytes
+                    )
 
     def finalize_telemetry(self) -> int:
         """Close the measurement window on every alive node.
@@ -636,21 +617,12 @@ class ClusterCoordinator:
         close would lose the victim's histogram contributions while still
         reporting the recovery lossless.
         """
-        if self.replication <= 1 or not self.telemetry_enabled or len(self.ring) < 2:
-            added = sum(node.finalize_telemetry() for node in self.nodes.values())
-        else:
-            added = 0
-            for node in list(self.nodes.values()):
-                # Capture the sized set first; finalize does not mutate it.
-                pairs = node.engine.live_flow_pairs()
-                added += node.finalize_telemetry()
-                for key_bytes, record in pairs:
-                    if record is None:
-                        continue  # bare preloaded entries are not sized either
-                    for backup_id in self.backups_of(key_bytes):
-                        self.nodes[backup_id].backup_pipeline(
-                            node.node_id
-                        ).flow_sizes.observe_flow(record.packets, record.bytes)
+        added = 0
+        for node in list(self.nodes.values()):
+            # Capture the sized set first; finalize does not mutate it.
+            pairs = node.engine.live_flow_pairs() if self.replication > 1 else ()
+            added += node.finalize_telemetry()
+            self._mirror_sizings(node.node_id, pairs, ended=False)
         # Closing the measurement window also closes the partial metrics
         # window, so the tail of the stream is observable (and alertable).
         if self.obs is not None and self.obs.windows is not None:
@@ -671,9 +643,7 @@ class ClusterCoordinator:
         node = self.nodes.get(node_id)
         if node is None:
             raise KeyError(f"node {node_id!r} is not a member")
-        data = dump_node_snapshot(
-            node, obs=self.obs.metrics if self.obs is not None else None
-        )
+        data = dump_node_snapshot(node, obs=self._metrics)
         self.checkpoints[node_id] = data
         if self.checkpoint_dir is not None:
             # Write-then-rename so a crash mid-write never leaves a torn
@@ -696,14 +666,13 @@ class ClusterCoordinator:
         if self.checkpoint_dir is not None:
             meta["path"] = str(self.checkpoint_dir / f"{node_id}.ckpt")
         self._checkpoint_meta[node_id] = meta
-        if self.obs is not None:
-            self.obs.record(
-                "checkpoint_write",
-                node=node_id,
-                size_bytes=len(data),
-                flows=meta["flows"],
-                completed=meta["completed"],
-            )
+        self._journal(
+            "checkpoint_write",
+            node=node_id,
+            size_bytes=len(data),
+            flows=meta["flows"],
+            completed=meta["completed"],
+        )
         return meta
 
     def checkpoint_all(self) -> List[dict]:
@@ -722,12 +691,17 @@ class ClusterCoordinator:
         """
         data = self.checkpoints.pop(node_id, None)
         self._checkpoint_meta.pop(node_id, None)
+        self._checkpointed_at.pop(node_id, None)
         if self.checkpoint_dir is not None:
             try:
                 (self.checkpoint_dir / f"{node_id}.ckpt").unlink()
             except FileNotFoundError:
                 pass
         return data
+
+    def _load_snapshot(self, data: bytes) -> NodeSnapshot:
+        """Decode a checkpoint frame, decode cost on the ``repro_persist_*`` books."""
+        return load_node_snapshot(data, obs=self._metrics)
 
     @property
     def checkpoint_bytes(self) -> int:
@@ -743,8 +717,29 @@ class ClusterCoordinator:
     # Membership: join / leave / failure with flow-state migration
     # ------------------------------------------------------------------ #
 
+    def _reconcile_placement(self) -> dict:
+        """Migrate every live flow not sitting on its current owner.
+
+        The one migration body.  Between public calls every live flow sits
+        on :meth:`owner_of` its key, so whatever just changed the placement
+        function — a joiner's arcs, a pin or unpin, a weight delta — the
+        flows to move are exactly those whose owner is now elsewhere:
+        extract them from every node and re-home them.
+        """
+        moved: List[Tuple[bytes, FlowRecord]] = []
+        for node in list(self.nodes.values()):
+            moved.extend(
+                node.extract_flows(
+                    lambda key_bytes, record, node_id=node.node_id: (
+                        self.owner_of(key_bytes) != node_id
+                    )
+                )
+            )
+        return self._rehome(moved)
+
     def _rehome(self, flows: Iterable[Tuple[bytes, FlowRecord]]) -> dict:
-        """Restore extracted flows onto their current owners (pin or ring)."""
+        """Restore extracted flows onto their current owners (pin or ring),
+        then rebuild the replication plane (backup sets follow placement)."""
         migrated = 0
         lost = 0
         pending: Dict[str, List[Tuple[bytes, FlowRecord]]] = {}
@@ -758,8 +753,9 @@ class ClusterCoordinator:
         self.flows_lost += lost
         if self.obs is not None and lost:
             self._obs_flows_lost.inc(lost)
-        if self.obs is not None and (migrated or lost):
-            self.obs.record("migration", migrated=migrated, lost=lost)
+        if migrated or lost:
+            self._journal("migration", migrated=migrated, lost=lost)
+        self._resync_replication_plane()
         return {"migrated": migrated, "lost": lost}
 
     def _restore_flows(self, flows: Iterable[Tuple[bytes, Optional[FlowRecord]]]) -> int:
@@ -830,25 +826,13 @@ class ClusterCoordinator:
             if isinstance(snapshot, (str, Path)):
                 snapshot = Path(snapshot).read_bytes()
             if not isinstance(snapshot, NodeSnapshot):
-                snapshot = load_node_snapshot(
-                    snapshot, obs=self.obs.metrics if self.obs is not None else None
-                )
-                if self.obs is not None:
-                    self.obs.record("checkpoint_load", node=node_id, source="import")
+                snapshot = self._load_snapshot(snapshot)
+                self._journal("checkpoint_load", node=node_id, source="import")
         node = self._make_node(node_id)
         self.ring.add_node(node_id)
         self.nodes[node_id] = node
         self.routed.setdefault(node_id, 0)
-        moved: List[Tuple[bytes, FlowRecord]] = []
-        for other in self.nodes.values():
-            if other is node:
-                continue
-            moved.extend(
-                other.extract_flows(
-                    lambda key_bytes, record: self.owner_of(key_bytes) == node_id
-                )
-            )
-        outcome = self._rehome(moved)
+        outcome = self._reconcile_placement()
         restored = 0
         if snapshot is not None:
             restored = self._restore_flows(snapshot.flows)
@@ -857,21 +841,11 @@ class ClusterCoordinator:
             if snapshot.pipeline is not None and node.pipeline is not None:
                 node.pipeline.merge(snapshot.pipeline)
                 self.telemetry_packets_lost -= snapshot.pipeline.packets
-            if self.obs is not None and restored:
-                self.obs.record("restore", node=node_id, flows=restored, source="import")
-        self._resync_replication_plane()
+            if restored:
+                self._journal("restore", node=node_id, flows=restored, source="import")
+            self._resync_replication_plane()  # the restore changed the primaries
         self.joins += 1
-        event = {"event": "join", "node": node_id, **outcome, "restored": restored}
-        self.events.append(event)
-        if self.obs is not None:
-            self.obs.record(
-                "join",
-                node=node_id,
-                migrated=outcome["migrated"],
-                lost=outcome["lost"],
-                restored=restored,
-            )
-        return event
+        return self._emit("join", {"node": node_id, **outcome, "restored": restored})
 
     def remove_node(self, node_id: str) -> dict:
         """A node leaves gracefully: its live flows migrate to the survivors.
@@ -884,27 +858,16 @@ class ClusterCoordinator:
         disappear together.  Its retained checkpoint is dropped too.
         """
         node = self._pop_member(node_id, action="remove")
-        # Pins onto the leaver die with its membership — the flows they
-        # steered re-home by ring below, like any other extracted flow.
-        self._drop_pins_to(node_id)
         records = node.extract_flows()
         # The leaver also hands over its undrained export stream, so a
         # graceful departure loses no NetFlow records.
         self._pending_exports.extend(node.drain_exported())
         self.ring.remove_node(node_id)
         self._consume_checkpoint(node_id)
-        self._checkpointed_at.pop(node_id, None)
         self._retire(node, reason="leave")
         outcome = self._rehome(records)
-        self._resync_replication_plane()
         self.leaves += 1
-        event = {"event": "leave", "node": node_id, **outcome}
-        self.events.append(event)
-        if self.obs is not None:
-            self.obs.record(
-                "leave", node=node_id, migrated=outcome["migrated"], lost=outcome["lost"]
-            )
-        return event
+        return self._emit("leave", {"node": node_id, **outcome})
 
     def fail_node(self, node_id: str) -> dict:
         """A node crashes; recovery shrinks the loss to what was unprotected.
@@ -928,20 +891,20 @@ class ClusterCoordinator:
         replacement first, then fail the old node).
         """
         node = self._pop_member(node_id, action="fail")
-        # Pins onto the victim die with it — recovery below must install
-        # promoted/replayed flows on live owners, never the corpse.
-        self._drop_pins_to(node_id)
         live_keys = {key for key, _ in node.engine.live_flow_pairs()}
 
         # Gather the recovery material before anything is torn down; the
         # victim's live-key set is the promotion filter (copies of flows
-        # that already ended must not be resurrected).
-        recovery = "none"
-        recovered_flows: List[Tuple[bytes, Optional[FlowRecord]]] = []
+        # that already ended must not be resurrected).  One merge over
+        # whatever protection exists: replica copies first, then a retained
+        # checkpoint — both are exact lower bounds on each flow, so each
+        # flow is recovered from whichever source saw more of it, and the
+        # pipeline with the wider packet coverage wins.
+        sources: List[str] = []
+        merged: Dict[bytes, Optional[FlowRecord]] = {}
         recovered_pipeline: Optional[TelemetryPipeline] = None
         if self.replication > 1:
-            recovery = "replicas"
-            merged: Dict[bytes, Optional[FlowRecord]] = {}
+            sources.append("replicas")
             for other in self.nodes.values():
                 for key, record in other.replica_flows.pop_matching(
                     lambda key: key in live_keys
@@ -953,63 +916,46 @@ class ClusterCoordinator:
                         # Segments from re-pointed backups partition the
                         # packet stream; absorbing them reassembles it.
                         existing.absorb(record)
-            if self.telemetry_enabled:
-                pieces = [
-                    other.backup_pipelines.pop(node_id)
-                    for other in self.nodes.values()
-                    if node_id in other.backup_pipelines
-                ]
-                if pieces:
-                    recovered_pipeline = TelemetryPipeline(
-                        self.telemetry_config, seed=self.telemetry_seed
-                    )
-                    for piece in pieces:
-                        recovered_pipeline.merge(piece)
-            checkpoint_data = self._consume_checkpoint(node_id)
-            if checkpoint_data is not None:
-                # The replica plane is normally the fuller source, but it
-                # can cover less than a retained checkpoint (both sources
-                # are exact lower bounds on each flow): recover each flow
-                # from whichever saw more of it, and take the pipeline
-                # with the wider packet coverage.
-                snapshot = load_node_snapshot(
-                    checkpoint_data, obs=self.obs.metrics if self.obs is not None else None
-                )
-                used_checkpoint = False
-                for key, record in snapshot.flows:
-                    if key not in live_keys:
-                        continue
-                    if record is None:
-                        # A bare preloaded entry: worth re-installing, but
-                        # never preferable to any replica record.
-                        if key not in merged:
-                            merged[key] = None
-                            used_checkpoint = True
-                        continue
-                    existing = merged.get(key)
-                    if existing is None or existing.packets < record.packets:
-                        merged[key] = record
-                        used_checkpoint = True
-                if snapshot.pipeline is not None and (
-                    recovered_pipeline is None
-                    or snapshot.pipeline.packets > recovered_pipeline.packets
-                ):
-                    recovered_pipeline = snapshot.pipeline
-                    used_checkpoint = True
-                if used_checkpoint:
-                    recovery = "replicas+checkpoint"
-            recovered_flows = list(merged.items())
-        elif node_id in self.checkpoints:
-            recovery = "checkpoint"
-            snapshot = load_node_snapshot(
-                self._consume_checkpoint(node_id),
-                obs=self.obs.metrics if self.obs is not None else None,
-            )
-            recovered_flows = [
-                (key, record) for key, record in snapshot.flows if key in live_keys
+            pieces = [
+                other.backup_pipelines.pop(node_id)
+                for other in self.nodes.values()
+                if node_id in other.backup_pipelines
             ]
-            recovered_pipeline = snapshot.pipeline
-        self._checkpointed_at.pop(node_id, None)
+            if pieces:
+                recovered_pipeline = TelemetryPipeline(
+                    self.telemetry_config, seed=self.telemetry_seed
+                )
+                for piece in pieces:
+                    recovered_pipeline.merge(piece)
+        checkpoint_data = self._consume_checkpoint(node_id)
+        if checkpoint_data is not None:
+            snapshot = self._load_snapshot(checkpoint_data)
+            # With no replica plane the checkpoint is the recovery; beside
+            # one it is named only when it supplied something the replicas
+            # had not.
+            used_checkpoint = not sources
+            for key, record in snapshot.flows:
+                if key not in live_keys:
+                    continue
+                if record is None:
+                    # A bare preloaded entry: worth re-installing, but
+                    # never preferable to any replica record.
+                    better = key not in merged
+                else:
+                    existing = merged.get(key)
+                    better = existing is None or existing.packets < record.packets
+                if better:
+                    merged[key] = record
+                    used_checkpoint = True
+            if snapshot.pipeline is not None and (
+                recovered_pipeline is None
+                or snapshot.pipeline.packets > recovered_pipeline.packets
+            ):
+                recovered_pipeline = snapshot.pipeline
+                used_checkpoint = True
+            if used_checkpoint:
+                sources.append("checkpoint")
+        recovery = "+".join(sources) or "none"
 
         lost = node.fail()
         self.ring.remove_node(node_id)
@@ -1018,7 +964,7 @@ class ClusterCoordinator:
         self.telemetry_packets_lost += pipeline_packets
         self._retire(node, reason="failure", keep_telemetry=False)
 
-        restored = self._restore_flows(recovered_flows)
+        restored = self._restore_flows(merged.items())
         self.flows_restored += restored
         self.flows_lost -= restored
         recovered_packets = 0
@@ -1031,36 +977,28 @@ class ClusterCoordinator:
         if self.obs is not None and lost - restored > 0:
             self._obs_flows_lost.inc(lost - restored)
         self.failures += 1
-        event = {
-            "event": "failure",
-            "node": node_id,
-            "migrated": 0,
-            "lost": lost - restored,
-            "restored": restored,
-            "recovery": recovery,
-            "telemetry_packets_lost": pipeline_packets - recovered_packets,
-        }
-        self.events.append(event)
-        if self.obs is not None:
-            self.obs.record(
-                "failure",
+        event = self._emit(
+            "failure",
+            {
+                "node": node_id,
+                "migrated": 0,
+                "lost": lost - restored,
+                "restored": restored,
+                "recovery": recovery,
+                "telemetry_packets_lost": pipeline_packets - recovered_packets,
+            },
+        )
+        if "replicas" in sources:
+            self._journal(
+                "replica_promotion",
                 node=node_id,
-                lost=event["lost"],
-                restored=restored,
-                recovery=recovery,
-                telemetry_packets_lost=event["telemetry_packets_lost"],
+                flows=restored,
+                telemetry_packets=recovered_packets,
             )
-            if recovery.startswith("replicas"):
-                self.obs.record(
-                    "replica_promotion",
-                    node=node_id,
-                    flows=restored,
-                    telemetry_packets=recovered_packets,
-                )
-            if "checkpoint" in recovery:
-                self.obs.record("checkpoint_load", node=node_id, source="failover")
-            if restored:
-                self.obs.record("restore", node=node_id, flows=restored, source=recovery)
+        if "checkpoint" in sources:
+            self._journal("checkpoint_load", node=node_id, source="failover")
+        if restored:
+            self._journal("restore", node=node_id, flows=restored, source=recovery)
         return event
 
     def _resync_replication_plane(self) -> None:
@@ -1110,15 +1048,6 @@ class ClusterCoordinator:
         """Current flow-pin overlay (a copy; mutate via :meth:`pin_flows`)."""
         return dict(self._pins)
 
-    def _drop_pins_to(self, node_id: str) -> int:
-        """Forget every pin targeting ``node_id`` (it left the membership)."""
-        if not self._pins:
-            return 0
-        stale = [key for key, target in self._pins.items() if target == node_id]
-        for key in stale:
-            del self._pins[key]
-        return len(stale)
-
     def pin_flows(self, assignments: Dict[bytes, str]) -> dict:
         """Pin flow keys onto explicit owner nodes, migrating live state.
 
@@ -1135,36 +1064,18 @@ class ClusterCoordinator:
         for key_bytes, target in assignments.items():
             if target not in self.nodes:
                 raise KeyError(f"pin target {target!r} is not a member")
-        changed: Dict[bytes, str] = {}
+        changed = 0
         for key_bytes, target in assignments.items():
-            if self._pins.get(key_bytes) == target:
-                continue
-            self._pins[key_bytes] = target
-            changed[key_bytes] = target
+            if self._pins.get(key_bytes) != target:
+                self._pins[key_bytes] = target
+                changed += 1
         if not changed:
             return {"event": "pin", "pinned": 0, "migrated": 0, "lost": 0}
-        moved: List[Tuple[bytes, FlowRecord]] = []
-        for node in list(self.nodes.values()):
-            moved.extend(
-                node.extract_flows(
-                    lambda key_bytes, record, node_id=node.node_id: (
-                        changed.get(key_bytes, node_id) != node_id
-                    )
-                )
-            )
-        outcome = self._rehome(moved)
-        self._resync_replication_plane()
-        event = {"event": "pin", "pinned": len(changed), **outcome}
-        self.events.append(event)
-        if self.obs is not None:
-            self.obs.record(
-                "pin",
-                pinned=len(changed),
-                total_pins=len(self._pins),
-                migrated=outcome["migrated"],
-                lost=outcome["lost"],
-            )
-        return event
+        return self._emit(
+            "pin",
+            {"pinned": changed, **self._reconcile_placement()},
+            total_pins=len(self._pins),
+        )
 
     def unpin_flows(self, keys: Optional[Iterable[bytes]] = None) -> dict:
         """Remove pins (all of them by default); flows return to ring owners."""
@@ -1172,28 +1083,11 @@ class ClusterCoordinator:
         removed = {key for key in targets if self._pins.pop(key, None) is not None}
         if not removed:
             return {"event": "unpin", "unpinned": 0, "migrated": 0, "lost": 0}
-        moved: List[Tuple[bytes, FlowRecord]] = []
-        for node in list(self.nodes.values()):
-            moved.extend(
-                node.extract_flows(
-                    lambda key_bytes, record, node_id=node.node_id: (
-                        key_bytes in removed and self.owner_of(key_bytes) != node_id
-                    )
-                )
-            )
-        outcome = self._rehome(moved)
-        self._resync_replication_plane()
-        event = {"event": "unpin", "unpinned": len(removed), **outcome}
-        self.events.append(event)
-        if self.obs is not None:
-            self.obs.record(
-                "unpin",
-                unpinned=len(removed),
-                total_pins=len(self._pins),
-                migrated=outcome["migrated"],
-                lost=outcome["lost"],
-            )
-        return event
+        return self._emit(
+            "unpin",
+            {"unpinned": len(removed), **self._reconcile_placement()},
+            total_pins=len(self._pins),
+        )
 
     def set_node_weight(self, node_id: str, weight: int) -> dict:
         """Change a member's ring weight and migrate the flows whose arcs moved.
@@ -1209,57 +1103,15 @@ class ClusterCoordinator:
             raise KeyError(f"node {node_id!r} is not a member")
         previous = self.ring.weight_of(node_id)
         self.ring.set_weight(node_id, weight)
+        fields = {"node": node_id, "previous_weight": previous, "weight": weight}
         if weight == previous:
-            return {
-                "event": "reweight",
-                "node": node_id,
-                "previous_weight": previous,
-                "weight": weight,
-                "migrated": 0,
-                "lost": 0,
-            }
-        outcome = self._reconcile_placement()
-        event = {
-            "event": "reweight",
-            "node": node_id,
-            "previous_weight": previous,
-            "weight": weight,
-            **outcome,
-        }
-        self.events.append(event)
-        if self.obs is not None:
-            self.obs.record(
-                "reweight",
-                node=node_id,
-                weight=weight,
-                previous_weight=previous,
-                migrated=outcome["migrated"],
-                lost=outcome["lost"],
-            )
-        return event
+            return {"event": "reweight", **fields, "migrated": 0, "lost": 0}
+        return self._emit("reweight", {**fields, **self._reconcile_placement()})
 
-    def _reconcile_placement(self) -> dict:
-        """Migrate every live flow not sitting on its current owner.
-
-        The placement functions (:meth:`owner_of`) just changed under the
-        resident flows — a weight delta moved arcs.  Extract exactly the
-        flows whose owner is now elsewhere, re-home them, and rebuild the
-        replication plane (backup sets follow the same ring walk).
-        """
-        moved: List[Tuple[bytes, FlowRecord]] = []
-        for node in list(self.nodes.values()):
-            moved.extend(
-                node.extract_flows(
-                    lambda key_bytes, record, node_id=node.node_id: (
-                        self.owner_of(key_bytes) != node_id
-                    )
-                )
-            )
-        outcome = self._rehome(moved)
-        self._resync_replication_plane()
-        return outcome
-
-    def _pop_member(self, node_id: str, action: str = "remove") -> ClusterNode:
+    def _pop_member(self, node_id: str, action: str) -> ClusterNode:
+        """Take a node out of the membership (leave and failure both start
+        here).  Pins onto it die with it, so whatever is re-homed or
+        recovered next lands on live owners, never the departed node."""
         if node_id not in self.nodes:
             raise KeyError(f"node {node_id!r} is not a member")
         if len(self.nodes) == 1:
@@ -1268,6 +1120,8 @@ class ClusterCoordinator:
                 "member, and an empty ring could steer no flow key; add a "
                 "replacement node first"
             )
+        for key in [key for key, target in self._pins.items() if target == node_id]:
+            del self._pins[key]
         return self.nodes.pop(node_id)
 
     def _retire(self, node: ClusterNode, reason: str, keep_telemetry: bool = True) -> None:
@@ -1332,13 +1186,9 @@ class ClusterCoordinator:
         the invariant tests assert it after arbitrary membership histories.
         """
         created = exported = folded = 0
-        for node in self.nodes.values():
-            books = node.flow_state_books()
-            created += books["created"]
-            exported += books["exported"]
-            folded += books["folded"]
-        for report in self._retired_reports:
-            books = report["flow_books"]
+        every_books = [node.flow_state_books() for node in self.nodes.values()]
+        every_books += [report["flow_books"] for report in self._retired_reports]
+        for books in every_books:
             created += books["created"]
             exported += books["exported"]
             folded += books["folded"]
@@ -1372,11 +1222,7 @@ class ClusterCoordinator:
     @property
     def load_imbalance(self) -> float:
         """Busiest alive node's completed load over the mean (0.0 when idle)."""
-        loads = [node.completed for node in self.nodes.values()]
-        total = sum(loads)
-        if total <= 0 or not loads:
-            return 0.0
-        return max(loads) * len(loads) / total
+        return busiest_over_mean(node.completed for node in self.nodes.values())
 
     def imbalance_report(self, threshold: float = 1.25) -> dict:
         """Observed load versus the ring's expected share, per alive node.
@@ -1385,23 +1231,28 @@ class ClusterCoordinator:
         descriptors exceeds ``threshold`` times its expected arc share —
         the signal that traffic is skewed (or the ring needs more vnodes).
         """
+        return self._imbalance_table(
+            {node_id: node.completed for node_id, node in self.nodes.items()}, threshold
+        )
+
+    def _imbalance_table(self, loads: Dict[str, float], threshold: float) -> dict:
+        """The share table behind both imbalance reports, over any load signal."""
         if threshold <= 1.0:
             raise ValueError("threshold must exceed 1.0")
-        totals = self.alive_totals()["completed"]
+        total = sum(loads.values())
         shares = self.ring.arc_shares()
         rows = []
         overloaded = []
-        for node_id in sorted(self.nodes):
-            node = self.nodes[node_id]
-            observed = node.completed / totals if totals else 0.0
+        for node_id in sorted(loads):
+            observed = loads[node_id] / total if total else 0.0
             expected = shares.get(node_id, 0.0)
-            flagged = bool(totals) and expected > 0.0 and observed > threshold * expected
+            flagged = bool(total) and expected > 0.0 and observed > threshold * expected
             if flagged:
                 overloaded.append(node_id)
             rows.append(
                 {
                     "node": node_id,
-                    "completed": node.completed,
+                    "completed": loads[node_id],
                     "observed_share": round(observed, 4),
                     "expected_share": round(expected, 4),
                     "overloaded": flagged,
@@ -1409,7 +1260,7 @@ class ClusterCoordinator:
             )
         return {
             "rows": rows,
-            "load_imbalance": self.load_imbalance,
+            "load_imbalance": busiest_over_mean(loads.values()),
             "overloaded": overloaded,
             "imbalance_detected": bool(overloaded),
             "threshold": threshold,
@@ -1434,18 +1285,7 @@ class ClusterCoordinator:
                 "windowed load signals need a windowed registry: build the "
                 "Observability with window_ps="
             )
-        loads: Dict[str, float] = {node_id: 0.0 for node_id in self.nodes}
-        for window in obs.windows.last(windows):
-            for result in ("hit", "miss"):
-                grouped = window.values(
-                    "repro_engine_outcomes_total",
-                    where={"result": result},
-                    group_by="node",
-                )
-                for node_id, value in grouped.items():
-                    if node_id in loads:
-                        loads[node_id] += value
-        return loads
+        return window_node_loads(obs.windows.last(windows), self.nodes)
 
     def windowed_imbalance_report(
         self, threshold: float = 1.25, windows: int = 1
@@ -1461,39 +1301,8 @@ class ClusterCoordinator:
         concentration at full strength.  ``load_imbalance`` here is the
         windowed figure (busiest node's window load over the mean).
         """
-        if threshold <= 1.0:
-            raise ValueError("threshold must exceed 1.0")
-        loads = self.windowed_node_loads(windows)
-        total = sum(loads.values())
-        shares = self.ring.arc_shares()
-        rows = []
-        overloaded = []
-        for node_id in sorted(loads):
-            observed = loads[node_id] / total if total else 0.0
-            expected = shares.get(node_id, 0.0)
-            flagged = bool(total) and expected > 0.0 and observed > threshold * expected
-            if flagged:
-                overloaded.append(node_id)
-            rows.append(
-                {
-                    "node": node_id,
-                    "completed": loads[node_id],
-                    "observed_share": round(observed, 4),
-                    "expected_share": round(expected, 4),
-                    "overloaded": flagged,
-                }
-            )
-        imbalance = (
-            max(loads.values()) * len(loads) / total if total and loads else 0.0
-        )
-        return {
-            "rows": rows,
-            "load_imbalance": imbalance,
-            "overloaded": overloaded,
-            "imbalance_detected": bool(overloaded),
-            "threshold": threshold,
-            "windows": windows,
-        }
+        table = self._imbalance_table(self.windowed_node_loads(windows), threshold)
+        return {**table, "windows": windows}
 
     def _imbalance_context(self) -> dict:
         """Diagnosis payload for the ``node_imbalance`` watchdog's onset.
@@ -1575,6 +1384,24 @@ class ClusterCoordinator:
         if self.obs is None:
             raise RuntimeError("cluster was built with obs disabled (pass obs=True)")
         return self.obs
+
+    @property
+    def _metrics(self):
+        """The plane's registry, or ``None`` with obs off (codec ``obs=`` hooks)."""
+        return self.obs.metrics if self.obs is not None else None
+
+    def _journal(self, kind: str, **fields: object) -> None:
+        """Journal one control-plane entry (a no-op with obs off)."""
+        if self.obs is not None:
+            self.obs.record(kind, **fields)
+
+    def _emit(self, kind: str, fields: dict, **journal_only: object) -> dict:
+        """Build a placement/membership event once and feed both streams:
+        the :attr:`events` list and the journal (which may carry extras)."""
+        event = {"event": kind, **fields}
+        self.events.append(event)
+        self._journal(kind, **fields, **journal_only)
+        return event
 
     @property
     def journal(self):

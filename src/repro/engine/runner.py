@@ -19,6 +19,7 @@ from repro.core.flow_lut import FlowLUT
 from repro.engine.sharded import ShardedFlowLUT
 from repro.hashing.crc import CRC32
 from repro.net.parser import DescriptorExtractor
+from repro.sim.stats import busiest_over_mean
 from repro.traffic.scenarios import list_scenarios, scenario_descriptors
 
 DEFAULT_BATCH_SIZE = 512
@@ -85,7 +86,7 @@ def _summarise(
         elapsed_ps=elapsed_ps,
         throughput_mdesc_s=total * 1e6 / elapsed_ps if elapsed_ps > 0 else 0.0,
         shard_completed=completed,
-        load_imbalance=max(completed) * len(completed) / total if total > 0 else 0.0,
+        load_imbalance=busiest_over_mean(completed),
     )
 
 

@@ -34,6 +34,7 @@ from repro.hashing.crc import CRC32
 from repro.net.parser import PacketDescriptor
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.plane import Observability
+from repro.sim.stats import busiest_over_mean
 
 
 def _slice_column(column, indices):
@@ -485,11 +486,7 @@ class ShardedFlowLUT:
         Before any descriptor has completed there is no load to compare, so
         the ratio is defined as 0.0 — never a division error or NaN.
         """
-        loads = self.shard_completed
-        total = sum(loads)
-        if total <= 0:
-            return 0.0
-        return max(loads) * len(loads) / total
+        return busiest_over_mean(self.shard_completed)
 
     @property
     def elapsed_ps(self) -> int:

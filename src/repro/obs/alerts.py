@@ -36,6 +36,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.journal import EventJournal
 from repro.obs.windows import WindowSnapshot
+from repro.sim.stats import busiest_over_mean
 
 
 class AlertError(ValueError):
@@ -162,7 +163,7 @@ class AlertEngine:
                 total = sum(groups.values())
                 if total < rule.min_count or len(groups) < 2:
                     return False, 0.0
-                return True, max(groups.values()) * len(groups) / total
+                return True, busiest_over_mean(groups.values())
             numerator = window.total(rule.metric, where=rule.where)
             denominator = window.total(
                 rule.denominator or rule.metric, where=rule.denominator_where

@@ -623,13 +623,10 @@ def run_rebalance_policy(
     windowed observability, the step the roadmap's elastic-system item
     describes.
     """
-    from repro.cluster.control import (
-        ClusterControl,
-        RebalancePolicy,
-        window_imbalance,
-        window_node_loads,
-    )
+    from repro.cluster.control import ClusterControl, RebalancePolicy
+    from repro.cluster.load_signal import window_node_loads
     from repro.obs import Observability
+    from repro.sim.stats import busiest_over_mean
 
     if packet_count <= 0:
         raise ValueError("packet_count must be positive")
@@ -675,10 +672,10 @@ def run_rebalance_policy(
     policy, policy_obs, control, policy_wall = drive(True)
 
     def trajectory(coordinator, obs):
-        return [
-            round(window_imbalance(window_node_loads(w, coordinator.nodes)), 4)
-            for w in obs.windows.windows
-        ]
+        per_window = (
+            window_node_loads([w], coordinator.nodes) for w in obs.windows.windows
+        )
+        return [round(busiest_over_mean(loads.values()), 4) for loads in per_window]
 
     static_curve = trajectory(static, static_obs)
     policy_curve = trajectory(policy, policy_obs)

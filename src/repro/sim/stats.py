@@ -4,9 +4,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.sim.clock import PS_PER_SECOND
+
+
+def busiest_over_mean(loads: Iterable[float]) -> float:
+    """The busiest member's load over the mean (1.0 means perfectly even).
+
+    With nothing loaded there is no ratio to take, so the figure is defined
+    as 0.0 — never a division error or NaN.
+    """
+    loads = list(loads)
+    total = sum(loads)
+    if total <= 0:
+        return 0.0
+    return max(loads) * len(loads) / total
 
 
 class Counter:
