@@ -6,9 +6,9 @@ The per-object hot path hashes one key at a time; this module hashes a whole
 * :func:`crc32_column` runs the table-driven CRC byte recurrence over the
   key-length dimension (13 steps for a 5-tuple column, each a whole-column
   gather), instead of per key.
-* :class:`H3ColumnHasher` folds an H3 matrix into per-byte-position gather
-  tables (``T[p][b]`` = XOR of the rows selected by byte value ``b`` at byte
-  position ``p``), so a column hash is ``width`` table gathers XOR-reduced.
+* :class:`H3ColumnHasher` gathers an H3 function's per-byte-position tables
+  (:attr:`repro.hashing.h3.H3Hash.tables`, the ones the scalar hash walks)
+  over a column, so a column hash is ``width`` table gathers XOR-reduced.
   :func:`column_hasher` hands out one shared hasher per distinct function.
 * :func:`tabulation_column` gathers a :class:`TabulationHash`'s own per-byte
   tables over a column of integer keys.
@@ -72,18 +72,16 @@ def crc32_column(key_data: ByteColumn, count: int, width: int, crc: CRCHash = CR
 
 
 class H3ColumnHasher:
-    """One H3 function compiled into byte-position gather tables.
+    """One H3 function's byte-position tables, gathered a column at a time.
 
-    The scalar :class:`~repro.hashing.h3.H3Hash` XORs one matrix row per set
-    key *bit*; grouping rows eight at a time gives a 256-entry table per key
-    *byte*, so hashing becomes ``width`` gathers regardless of how many bits
-    are set.  Each table is built by doubling (``width x 256`` XORs); callers
-    on a hot path share one instance per function through
-    :func:`column_hasher` instead of compiling their own.
+    The tables are the function's own (:attr:`~repro.hashing.h3.H3Hash.tables`,
+    shared with every scalar instance of it); this class adds their numpy
+    form.  Callers on a hot path share one instance per function through
+    :func:`column_hasher` instead of converting their own.
 
     Parameters
     ----------
-    h3: the hash function to compile (its ``key_bits`` must cover the keys).
+    h3: the hash function (its ``key_bits`` must cover the keys).
     width: key width in bytes of the columns this hasher will see.
     """
 
@@ -96,25 +94,15 @@ class H3ColumnHasher:
             )
         self.width = width
         self.output_bits = h3.output_bits
-        rows = h3.matrix
-        tables: List[List[int]] = []
-        # Byte position p counts from the LSB end of the big-endian key, so
-        # byte p of the key integer is key_bytes[width - 1 - p] and covers
-        # matrix rows 8p .. 8p+7.
-        for position in range(width):
-            table = [0] * 256
-            for bit in range(8):
-                row = rows[8 * position + bit]
-                span = 1 << bit
-                for byte in range(span, 2 * span):
-                    table[byte] = table[byte - span] ^ row
-            tables.append(table)
-        self._tables = tables
+        # Position p counts from the LSB end of the big-endian key, so byte
+        # p of the key integer is key_bytes[width - 1 - p].
+        self._tables = h3.tables
         self._np_tables = None
 
     def _numpy_tables(self, np):
         if self._np_tables is None:
-            self._np_tables = [np.array(table, dtype=np.uint64) for table in self._tables]
+            tables = self._tables[: self.width]
+            self._np_tables = [np.array(table, dtype=np.uint64) for table in tables]
         return self._np_tables
 
     def hash_column(self, key_data: ByteColumn, count: int):
@@ -136,22 +124,20 @@ class H3ColumnHasher:
         tables = self._tables
         out_list: List[int] = []
         for index in range(count):
-            key = view[index * width : (index + 1) * width]
             value = 0
-            for position in range(width):
-                value ^= tables[position][key[width - 1 - position]]
+            for table, byte in zip(tables, reversed(view[index * width : (index + 1) * width])):
+                value ^= table[byte]
             out_list.append(value)
         return out_list
 
 
-# One compiled hasher per distinct H3 function and key width.  A cluster
-# holds one Count-Min pair per primary *and* per backup pipeline, all on one
-# telemetry seed, and one Hash-CAM table per shard on one config seed; their
-# gather tables are identical, so they are compiled once and shared (the
-# idiom of ``repro.hashing.tabulation._TABLE_CACHE``).  Hashers are
-# immutable once built, which is what makes sharing them across the thread
-# executor's workers safe; the lock only keeps two first callers from both
-# paying for the same build.  Bounded; eviction only costs a rebuild.
+# One hasher per distinct H3 function and key width, so the numpy tables are
+# converted once however many Count-Min rows and Hash-CAM shards sit on one
+# seed.  A function is identified by its shared table tuple; every hasher
+# here keeps its tuple alive, so a memoised ``id`` is never a recycled one.
+# Hashers are immutable once built, which makes sharing them across the
+# thread executor's workers safe; the lock only keeps two first callers from
+# both building.  Bounded; eviction only costs a rebuild.
 _HASHER_CACHE: Dict[tuple, H3ColumnHasher] = {}
 _HASHER_CACHE_MAX = 64
 _HASHER_CACHE_LOCK = threading.Lock()
@@ -159,7 +145,7 @@ _HASHER_CACHE_LOCK = threading.Lock()
 
 def column_hasher(h3: H3Hash, width: int) -> H3ColumnHasher:
     """The shared :class:`H3ColumnHasher` of ``h3`` for ``width``-byte keys."""
-    key = (tuple(h3.matrix), h3.output_bits, width)
+    key = (id(h3.tables), width)
     hasher = _HASHER_CACHE.get(key)
     if hasher is None:
         with _HASHER_CACHE_LOCK:

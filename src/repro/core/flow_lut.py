@@ -617,13 +617,14 @@ class FlowLUT:
 
     def delete_flow(self, key_bytes: bytes) -> bool:
         """Remove a flow entry, charging the DRAM write through the Update block."""
-        location = self.table.lookup(key_bytes)
+        indices = self.table.hash_indices(key_bytes)
+        location = self.table.lookup(key_bytes, indices=indices)
         if not location.found:
             return False
         if location.stage in (LookupStage.MEM1, LookupStage.MEM2):
             address = self._bucket_address(location.bucket)
             self.updates[location.memory].request_delete(address, key_bytes)
-        self.table.delete(key_bytes)
+        self.table.delete(key_bytes, indices=indices)
         if location.flow_id is not None:
             self._live_keys.pop(location.flow_id, None)
         return True

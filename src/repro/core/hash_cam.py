@@ -216,6 +216,8 @@ class HashCamTable:
         behaviour).  Inserting an existing key returns its current location
         without modification.
         """
+        if indices is None:
+            indices = self.hash_indices(key)
         existing = self.lookup(key, indices=indices)
         if existing.found:
             return InsertResult(
@@ -228,7 +230,7 @@ class HashCamTable:
                 already_present=True,
             )
 
-        index1, index2 = self.hash_indices(key) if indices is None else indices
+        index1, index2 = indices
         if preferred_memory is None:
             preferred_memory = index1 & 1
         elif preferred_memory not in (0, 1):
@@ -302,11 +304,15 @@ class HashCamTable:
                 return candidate
         return None
 
-    def delete(self, key: bytes) -> bool:
-        """Remove ``key`` from wherever it lives; returns whether it existed."""
+    def delete(self, key: bytes, indices: Optional[Tuple[int, int]] = None) -> bool:
+        """Remove ``key`` from wherever it lives; returns whether it existed.
+
+        ``indices`` optionally supplies the bucket indices a caller already
+        holds, as for :meth:`lookup`.
+        """
         if self.cam.delete(key):
             return True
-        index1, index2 = self.hash_indices(key)
+        index1, index2 = self.hash_indices(key) if indices is None else indices
         for memory, bucket in ((0, index1), (1, index2)):
             entries = self._memories[memory].get(bucket)
             if not entries:

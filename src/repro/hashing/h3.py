@@ -6,25 +6,53 @@ An H3 hash of an ``n``-bit key to an ``m``-bit value is defined by an
 gates, which is why H3 is the de-facto hash family in FPGA packet-processing
 designs (and a natural choice for the paper's two pre-selected hash
 functions).
+
+In software the rows are grouped eight at a time into one 256-entry table per
+key byte (:func:`_build_tables`), so a hash is ``key_bytes`` lookups however
+many bits are set; :meth:`H3Hash.hash` and the column hasher
+(:class:`repro.columns.hashing.H3ColumnHasher`) run on the same tables.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+import threading
+from typing import Tuple, Union
 
 from repro.sim.rng import SeedLike, make_rng
 
 KeyLike = Union[int, bytes, bytearray]
 
+# One table set per distinct function, process-wide (the idiom of
+# ``repro.hashing.tabulation._TABLE_CACHE``): a cluster holds one Count-Min
+# per primary *and* per backup pipeline on one telemetry seed and one
+# Hash-CAM table per shard on one config seed, at ~120 KB of tables per
+# 104-bit function.  Tables are never written after the build, so sharing
+# them across the thread executor's workers is safe; the lock only keeps two
+# first callers from both building.  Bounded; eviction only costs a rebuild.
+_TABLE_CACHE: dict = {}
+_TABLE_CACHE_MAX = 64
+_TABLE_CACHE_LOCK = threading.Lock()
 
-def _key_to_int(key: KeyLike) -> int:
-    if isinstance(key, (bytes, bytearray)):
-        return int.from_bytes(bytes(key), "big")
-    if isinstance(key, int):
-        if key < 0:
-            raise ValueError("integer keys must be non-negative")
-        return key
-    raise TypeError(f"unsupported key type {type(key)!r}")
+
+def _build_tables(rows: Tuple[int, ...]) -> tuple:
+    """Fold matrix ``rows`` into per-byte-position lookup tables.
+
+    ``tables[p][b]`` is the XOR of the rows byte value ``b`` selects at byte
+    position ``p``, counted from the LSB end of the big-endian key: rows
+    ``8p .. 8p+7`` (zero past ``key_bits``).  Built by doubling.
+    """
+    key_bytes = (len(rows) + 7) // 8
+    rows = rows + (0,) * (8 * key_bytes - len(rows))
+    tables = []
+    for position in range(key_bytes):
+        table = [0] * 256
+        for bit in range(8):
+            row = rows[8 * position + bit]
+            span = 1 << bit
+            for byte in range(span, 2 * span):
+                table[byte] = table[byte - span] ^ row
+        tables.append(table)
+    return tuple(tables)
 
 
 class H3Hash:
@@ -46,28 +74,57 @@ class H3Hash:
         self.output_bits = output_bits
         rng = make_rng(seed)
         mask = (1 << output_bits) - 1
-        self._rows = [rng.getrandbits(output_bits) & mask for _ in range(key_bits)]
-        self._mask = mask
+        self._rows = tuple(rng.getrandbits(output_bits) & mask for _ in range(key_bits))
+        self._key_bytes = (key_bits + 7) // 8
+        self._tables = None
+
+    def __getstate__(self) -> dict:
+        # Shared per process, not shipped: a pickled copy (process executor)
+        # resolves the tables again instead of owning a private set.
+        return {**self.__dict__, "_tables": None}
+
+    @property
+    def tables(self) -> tuple:
+        """The byte-position tables (see :func:`_build_tables`), compiled on
+        first use and shared, read-only, by every instance of this function."""
+        tables = self._tables
+        if tables is None:
+            key = (self._rows, self.output_bits)
+            tables = _TABLE_CACHE.get(key)
+            if tables is None:
+                with _TABLE_CACHE_LOCK:
+                    tables = _TABLE_CACHE.get(key)
+                    if tables is None:
+                        tables = _build_tables(self._rows)
+                        if len(_TABLE_CACHE) >= _TABLE_CACHE_MAX:
+                            _TABLE_CACHE.pop(next(iter(_TABLE_CACHE)))
+                        _TABLE_CACHE[key] = tables
+            self._tables = tables
+        return tables
 
     def __call__(self, key: KeyLike) -> int:
         return self.hash(key)
 
     def hash(self, key: KeyLike) -> int:
         """Hash ``key`` to an ``output_bits``-wide integer."""
-        value = _key_to_int(key)
-        if value >> self.key_bits:
-            raise ValueError(
-                f"key has more than {self.key_bits} bits: {value.bit_length()} bits"
-            )
+        if not isinstance(key, (bytes, bytearray)):
+            if not isinstance(key, int):
+                raise TypeError(f"unsupported key type {type(key)!r}")
+            if key < 0:
+                raise ValueError("integer keys must be non-negative")
+            # Sized to the value, so an oversized integer reaches the width
+            # check below instead of an OverflowError here.
+            key = key.to_bytes(max(self._key_bytes, (key.bit_length() + 7) // 8), "big")
+        if len(key) > self._key_bytes or (self.key_bits & 7 and len(key) == self._key_bytes):
+            value = int.from_bytes(key, "big")
+            if value >> self.key_bits:
+                raise ValueError(
+                    f"key has more than {self.key_bits} bits: {value.bit_length()} bits"
+                )
         result = 0
-        rows = self._rows
-        index = 0
-        while value:
-            if value & 1:
-                result ^= rows[index]
-            value >>= 1
-            index += 1
-        return result & self._mask
+        for table, byte in zip(self._tables or self.tables, reversed(key)):
+            result ^= table[byte]
+        return result
 
     def bucket(self, key: KeyLike, table_size: int) -> int:
         """Hash ``key`` into ``[0, table_size)``."""

@@ -22,3 +22,19 @@ def each_backend():
     property test then covers both backends inside one example, and neither
     the ``REPRO_NO_NUMPY`` leg nor the default one is ever a skip."""
     return _each_backend
+
+
+@pytest.fixture
+def count_hash_calls():
+    """A callable that wraps ``hash_indices`` of the given Hash-CAM tables
+    and returns the one list every wrapped call appends its key to."""
+
+    def wrap(*tables):
+        calls = []
+        for table in tables:
+            table.hash_indices = lambda key, inner=table.hash_indices: (
+                calls.append(key) or inner(key)
+            )
+        return calls
+
+    return wrap

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.cluster import ClusterNode
 from repro.core.config import small_test_config
 from repro.core.flow_lut import FlowLUT
 from repro.core.flow_state import FlowStateTable
@@ -155,6 +156,30 @@ def test_explicit_delete_flow():
     lut.drain()
     assert not lut.table.lookup(key_bytes).found
     assert not lut.delete_flow(key_bytes)
+
+
+def test_migration_paths_hash_each_key_once_per_table_operation(count_hash_calls):
+    """``delete_flow`` / ``restore_flow`` / ``preload`` reach ``hash_indices``
+    once per key, so a flow moved by ``extract_flows`` + ``absorb_flows``
+    costs two hashes (one on each side)."""
+    descriptors = descriptors_from_keys(random_flow_keys(6, seed=21))
+    source = ClusterNode("a", config=small_test_config(), telemetry=False)
+    target = ClusterNode("b", config=small_test_config(), telemetry=False)
+    source.engine.process_batch(descriptors)
+    moving = descriptors[0].key_bytes
+    calls = count_hash_calls(source.engine.shards[0].table, target.engine.shards[0].table)
+    extracted = source.extract_flows(lambda key_bytes, record: key_bytes == moving)
+    assert [key_bytes for key_bytes, _ in extracted] == [moving]
+    assert target.absorb_flows(extracted) == (1, 0)
+    assert len(calls) == 2
+
+    lut = target.engine.shards[0]
+    record = extracted[0][1]
+    assert lut.delete_flow(moving) and len(calls) == 3
+    assert not lut.delete_flow(moving) and len(calls) == 4
+    assert lut.restore_flow(record, moving) and len(calls) == 5
+    assert lut.restore_flow(record, moving) and len(calls) == 6  # already present: folded
+    assert lut.preload([d.key_bytes for d in descriptors]) == 5 and len(calls) == 12
 
 
 def test_cam_stage_resolves_without_memory_reads():

@@ -168,6 +168,44 @@ def test_stats_and_stage_hit_accounting():
     assert 0 < stats["load_factor"] < 1
 
 
+def test_each_table_operation_hashes_its_key_once(count_hash_calls):
+    table = make_table()
+    calls = count_hash_calls(table)
+    key = b"\x21" * 13
+    assert table.insert(key).inserted  # new key: the lookup inside reuses the indices
+    assert len(calls) == 1
+    assert table.insert(key).already_present
+    assert len(calls) == 2
+    indices = table.hash_indices(key)
+    assert table.lookup(key, indices=indices).found
+    assert table.delete(key, indices=indices)
+    assert not table.delete(key, indices=indices)
+    assert len(calls) == 3
+    assert table.delete(key) is False and len(calls) == 4
+
+
+def test_scripted_sequence_keeps_the_lookup_and_stage_counters():
+    """``insert`` still goes through ``lookup``: the counters of one scripted
+    insert / re-insert / lookup / delete history are the literal values the
+    hash-twice-per-insert table produced."""
+    table = HashCamTable(small_test_config(num_flows=16, cam_entries=3))
+    for key in keys(24):
+        table.insert(key)
+    for key in keys(6, start=3):
+        table.insert(key)
+    for key in keys(30):
+        table.lookup(key)
+    deleted = sum(table.delete(key) for key in keys(10, start=5))
+    for key in keys(12, start=20):
+        table.insert(key)
+    stats = table.stats()
+    assert deleted == 10
+    assert stats["lookups"] == 72
+    assert stats["stage_hits"] == {"cam": 3, "mem1": 10, "mem2": 12, "miss": 47}
+    assert stats["insert_failures"] == 7
+    assert (stats["mem1_entries"], stats["mem2_entries"], stats["cam_entries"]) == (8, 8, 3)
+
+
 def test_contains_protocol():
     table = make_table()
     key = b"\x11" * 13

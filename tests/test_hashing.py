@@ -1,9 +1,29 @@
-"""Tests for the hardware-style hash functions."""
+"""Tests for the hardware-style hash functions.
+
+``tests/fixtures/h3_vectors.json`` pins H3 values — they decide bucket
+placement, location-derived flow IDs, Count-Min cells and whether a persisted
+snapshot restores into the buckets it was dumped from.  It was captured at
+the commit *before* the bit-serial ``H3Hash.hash`` became table-driven
+(``PYTHONPATH=<that checkout>/src python tests/test_hashing.py`` rewrites
+it); only rewrite it on purpose.
+"""
+
+import json
+import pickle
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro.columns.hashing import column_hasher
+from repro.core.config import small_test_config
+from repro.core.hash_cam import HashCamTable
 from repro.hashing import CRC16_CCITT, CRC32, CRCHash, H3Hash, MultiHash, TabulationHash, fold_hash
+from repro.sim.rng import make_rng
+
+FIXTURE = Path(__file__).parent / "fixtures" / "h3_vectors.json"
+VECTOR_SEEDS = (0, 1, 11)
+VECTOR_GEOMETRIES = ((104, 32), (104, 64), (100, 17))
 
 
 # --------------------------------------------------------------------------- #
@@ -61,6 +81,124 @@ def test_h3_output_distribution_is_reasonable():
 def test_h3_output_within_range(key):
     h = H3Hash(104, 21, seed=5)
     assert 0 <= h.hash(key) < (1 << 21)
+
+
+def reference_h3(h3, key):
+    """The bit-serial definition ``H3Hash.hash`` is held to: XOR of the
+    matrix rows the set bits of the key select, one bit per iteration."""
+    value = int.from_bytes(bytes(key), "big") if isinstance(key, (bytes, bytearray)) else key
+    if value >> h3.key_bits:
+        raise ValueError("oversized")
+    result = 0
+    for row in h3.matrix:
+        if value & 1:
+            result ^= row
+        value >>= 1
+    return result
+
+
+@st.composite
+def h3_and_key(draw):
+    key_bits = draw(st.sampled_from([1, 7, 8, 13, 100, 104, 128]))
+    output_bits = draw(st.sampled_from([5, 17, 32, 64, 80]))
+    h3 = H3Hash(key_bits, output_bits, seed=draw(st.integers(0, 7)))
+    # Any width up to key_bits, so short keys and leading zero bytes occur.
+    value = draw(st.integers(0, (1 << draw(st.integers(0, key_bits))) - 1))
+    min_bytes = (value.bit_length() + 7) // 8
+    kind = draw(st.sampled_from(["int", "bytes", "bytearray"]))
+    if kind == "int":
+        return h3, value
+    # From the shortest packing to two bytes past the function's key width.
+    length = draw(st.integers(min_bytes, (key_bits + 7) // 8 + 2))
+    data = value.to_bytes(length, "big")
+    return h3, (data if kind == "bytes" else bytearray(data))
+
+
+@settings(max_examples=400, deadline=None)
+@given(h3_and_key())
+def test_h3_kernel_is_the_bit_serial_definition(case):
+    h3, key = case
+    assert h3.hash(key) == h3(key) == reference_h3(h3, key)
+
+
+@pytest.mark.parametrize("top_nibble", [0x0, 0x1, 0xF])
+def test_h3_partial_top_byte(top_nibble):
+    """13-byte keys under ``key_bits=100``: only a zero top nibble fits."""
+    h3 = H3Hash(100, 32, seed=4)
+    key = bytes([top_nibble << 4 | 0x5]) + bytes(range(1, 13))
+    if top_nibble:
+        with pytest.raises(ValueError, match="more than 100 bits"):
+            h3.hash(key)
+        with pytest.raises(ValueError, match="more than 100 bits"):
+            h3.hash(int.from_bytes(key, "big"))
+    else:
+        assert h3.hash(key) == h3.hash(bytearray(key)) == reference_h3(h3, key)
+
+
+def test_h3_error_cases_raise_what_the_bit_serial_hash_raised():
+    h3 = H3Hash(104, 32, seed=0)
+    with pytest.raises(ValueError, match="key has more than 104 bits: 105 bits"):
+        h3.hash(1 << 104)
+    with pytest.raises(ValueError, match="key has more than 104 bits: 105 bits"):
+        h3.hash(b"\x01" + bytes(13))
+    with pytest.raises(ValueError, match="integer keys must be non-negative"):
+        h3.hash(-1)
+    for bad in ("text", 1.5, None, memoryview(b"ab")):
+        with pytest.raises(TypeError, match="unsupported key type"):
+            h3.hash(bad)
+    assert h3.hash(bytes(20) + b"\x07") == h3.hash(7)  # leading zero bytes are no width
+
+
+@pytest.mark.parametrize("key_bits,output_bits", [(104, 32), (104, 80), (100, 17), (32, 64)])
+def test_h3_scalar_and_column_hasher_are_one_kernel(key_bits, output_bits, each_backend):
+    h3 = H3Hash(key_bits, output_bits, seed=21)
+    twin = H3Hash(key_bits, output_bits, seed=21)
+    rng = make_rng(5)
+    for width in {key_bits // 8, 4}:
+        count = 33
+        data = bytes(rng.getrandbits(8) for _ in range(count * width))
+        hasher = column_hasher(h3, width)
+        assert column_hasher(twin, width) is hasher
+        assert hasher._tables is h3.tables is twin.tables
+        expected = [h3.hash(data[i * width : (i + 1) * width]) for i in range(count)]
+        for label, context in each_backend():
+            with context:
+                assert [int(v) for v in hasher.hash_column(data, count)] == expected, label
+    assert H3Hash(key_bits, output_bits, seed=22).tables is not h3.tables
+    shipped = pickle.loads(pickle.dumps(h3))  # the process executor's transport
+    assert shipped.tables is h3.tables and shipped.hash(data[:4]) == h3.hash(data[:4])
+    assert h3.matrix is not h3.matrix and h3.matrix == twin.matrix
+
+
+def _vector_keys():
+    """32 fixed keys: 13-byte 5-tuples, short keys, leading zeros, all-ones."""
+    rng = make_rng(2014)
+    keys = [bytes(rng.getrandbits(8) for _ in range(13)) for _ in range(24)]
+    keys += [bytes(13), b"\xff" * 13, b"\x00" * 6 + b"\x01" + bytes(6), b"\x80" + bytes(12)]
+    keys += [bytes(rng.getrandbits(8) for _ in range(length)) for length in (1, 2, 5, 12)]
+    return keys
+
+
+def h3_vectors() -> dict:
+    keys = _vector_keys()
+    vectors = {}
+    for seed in VECTOR_SEEDS:
+        for key_bits, output_bits in VECTOR_GEOMETRIES:
+            h3 = H3Hash(key_bits, output_bits, seed=seed)
+            limit = (1 << key_bits) - 1
+            vectors[f"seed{seed}/{key_bits}x{output_bits}"] = [
+                h3.hash(int.from_bytes(key, "big") & limit) for key in keys
+            ] + [h3.hash(key) for key in keys if not int.from_bytes(key, "big") >> key_bits]
+    table = HashCamTable(small_test_config())
+    return {
+        "keys": [key.hex() for key in keys],
+        "h3": vectors,
+        "hash_indices": [list(table.hash_indices(key)) for key in keys[:16]],
+    }
+
+
+def test_h3_golden_vectors_from_the_bit_serial_commit():
+    assert h3_vectors() == json.loads(FIXTURE.read_text())
 
 
 # --------------------------------------------------------------------------- #
@@ -219,3 +357,7 @@ def test_multihash_two_choice_spreads_collisions():
         double_load[target] += 1
     assert max(double_load) <= max(single_load)
     assert max(double_load) <= 3
+
+
+if __name__ == "__main__":
+    FIXTURE.write_text(json.dumps(h3_vectors(), indent=1) + "\n")
