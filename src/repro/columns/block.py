@@ -31,20 +31,16 @@ transport and the list-returning entry points carry.
 
 from __future__ import annotations
 
-import struct
 from array import array
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.columns import backend
 from repro.core.hash_cam import LookupStage
 from repro.net.fivetuple import FLOW_KEY_BYTES, FlowKey
-from repro.net.parser import PacketDescriptor
+from repro.net.parser import FIVE_TUPLE_STRUCT, PacketDescriptor, flow_key_from_engine_key
 
 ENGINE_KEY_WIDTH = FLOW_KEY_BYTES
 """Bytes per key in the engine layout (13 for the IPv4 5-tuple)."""
-
-_ENGINE_STRUCT = struct.Struct(">IIHHB")
-"""Engine key layout: dst_ip, src_ip, dst_port, src_port, protocol."""
 
 _PACK_ORDER = (4, 5, 6, 7, 0, 1, 2, 3, 10, 11, 8, 9, 12)
 """Byte permutation from the engine layout to ``FlowKey.pack()`` order."""
@@ -61,7 +57,7 @@ STAGE_CODES = {stage: code for code, stage in enumerate(STAGES)}
 
 
 def _engine_key(key: FlowKey) -> bytes:
-    return _ENGINE_STRUCT.pack(key.dst_ip, key.src_ip, key.dst_port, key.src_port, key.protocol)
+    return FIVE_TUPLE_STRUCT.pack(key.dst_ip, key.src_ip, key.dst_port, key.src_port, key.protocol)
 
 
 def _column(values: Sequence[int], typecode: str, dtype: str):
@@ -71,7 +67,8 @@ def _column(values: Sequence[int], typecode: str, dtype: str):
     return array(typecode, values)
 
 
-def _tolist(column) -> List[int]:
+def as_list(column) -> List[int]:
+    """A column of either backend (or a plain sequence) as Python ints."""
     if hasattr(column, "tolist"):
         return column.tolist()
     return list(column)
@@ -169,24 +166,7 @@ class DescriptorBlock:
     def flow_keys(self) -> List[FlowKey]:
         """Per-row :class:`FlowKey` objects (cached; built on first use)."""
         if self._flow_key_cache is None:
-            unpack = _ENGINE_STRUCT.unpack
-            width = self.key_width
-            data = self.key_data
-            keys = []
-            for i in range(len(self)):
-                dst_ip, src_ip, dst_port, src_port, protocol = unpack(
-                    data[i * width : (i + 1) * width]
-                )
-                keys.append(
-                    FlowKey(
-                        src_ip=src_ip,
-                        dst_ip=dst_ip,
-                        src_port=src_port,
-                        dst_port=dst_port,
-                        protocol=protocol,
-                    )
-                )
-            self._flow_key_cache = keys
+            self._flow_key_cache = [flow_key_from_engine_key(key) for key in self.keys()]
         return self._flow_key_cache
 
     def packed_key_data(self) -> bytes:
@@ -245,9 +225,9 @@ class DescriptorBlock:
         """Materialise the object-path representation of every row."""
         keys = self.flow_keys()
         key_bytes = self.keys()
-        lengths = _tolist(self.lengths)
-        timestamps = _tolist(self.timestamps)
-        flags = _tolist(self.flags)
+        lengths = as_list(self.lengths)
+        timestamps = as_list(self.timestamps)
+        flags = as_list(self.flags)
         return [
             PacketDescriptor(
                 key_bytes=key_bytes[i],
@@ -314,9 +294,9 @@ class DescriptorBlock:
         return (
             self.key_width == other.key_width
             and self.key_data == other.key_data
-            and _tolist(self.lengths) == _tolist(other.lengths)
-            and _tolist(self.timestamps) == _tolist(other.timestamps)
-            and _tolist(self.flags) == _tolist(other.flags)
+            and as_list(self.lengths) == as_list(other.lengths)
+            and as_list(self.timestamps) == as_list(other.timestamps)
+            and as_list(self.flags) == as_list(other.flags)
         )
 
     def __repr__(self) -> str:
@@ -410,10 +390,10 @@ class OutcomeBlock:
         from repro.core.flow_lut import LookupOutcome
 
         descriptors = self.block.to_descriptors()
-        flow_ids = _tolist(self.flow_ids)
-        first_paths = _tolist(self.first_paths)
-        submit_ps = _tolist(self.submit_ps)
-        complete_ps = _tolist(self.complete_ps)
+        flow_ids = as_list(self.flow_ids)
+        first_paths = as_list(self.first_paths)
+        submit_ps = as_list(self.submit_ps)
+        complete_ps = as_list(self.complete_ps)
         return [
             LookupOutcome(
                 descriptor=descriptors[i],

@@ -259,6 +259,16 @@ class FlowLUT:
         dispatches per system cycle), advancing ``elapsed_ps`` the way a
         saturated timed run would.
 
+        Each row is touched once.  Once per block: the keys are sliced,
+        the length / timestamp / flag columns and the two bucket-index
+        columns become Python lists, and the CAM's ``searches`` / ``hits``
+        and this device's totals are credited.  Per row: one CAM probe,
+        at most two bucket scans, and — having missed all three — a direct
+        :meth:`HashCamTable._place` (no second search; the miss is credited
+        as :meth:`HashCamTable.insert` would).  Flow state gets the engine
+        key bytes, so a :class:`~repro.net.fivetuple.FlowKey` is built only
+        for rows that create a record.
+
         ``hash_columns`` optionally supplies precomputed
         ``(index1, index2)`` bucket-index columns — the sharded engine
         hashes the full batch once and slices per shard.  Returns an
@@ -267,99 +277,103 @@ class FlowLUT:
         from array import array
 
         from repro.columns import backend
-        from repro.columns.block import STAGE_CODES, OutcomeBlock
+        from repro.columns.block import ENGINE_KEY_WIDTH, STAGE_CODES, OutcomeBlock, as_list
 
         count = len(block)
         table = self.table
-        if hash_columns is None:
-            idx1_col, idx2_col = table.column_hash_indices(
-                block.key_data, count, block.key_width
+        flow_state = self.flow_state
+        if flow_state is not None and count and block.key_width != ENGINE_KEY_WIDTH:
+            raise ValueError(
+                f"flow state needs {ENGINE_KEY_WIDTH}-byte 5-tuple keys, "
+                f"block keys are {block.key_width} bytes"
             )
-        else:
-            idx1_col, idx2_col = hash_columns
+        if hash_columns is None:
+            hash_columns = table.column_hash_indices(block.key_data, count, block.key_width)
+        index1s, index2s = (as_list(column) for column in hash_columns)
+        if len(index1s) != count or len(index2s) != count:
+            raise ValueError(
+                f"hash_columns have {len(index1s)} and {len(index2s)} rows, block has {count}"
+            )
 
         base = max(self._last_complete_ps, self.sim.now)
         period = self._sys_period
         if count and self._first_submit_ps is None:
             self._first_submit_ps = base
 
-        keys = block.keys()
-        flow_state = self.flow_state
-        flow_keys = block.flow_keys() if flow_state is not None else None
-        lengths = block.lengths
-        timestamps = block.timestamps
-        flags = block.flags
-
         cam = table.cam
-        memories = table._memories
+        cam_get = cam._entries.get
+        mem1_get, mem2_get = (memory.get for memory in table._memories)
+        place = table._place
+        update = flow_state.update if flow_state is not None else None
         live_keys = self._live_keys
         insert_on_miss = self.config.insert_on_miss
+        miss = LookupStage.MISS
         code_cam = STAGE_CODES[LookupStage.CAM]
-        code_mem = (STAGE_CODES[LookupStage.MEM1], STAGE_CODES[LookupStage.MEM2])
-        code_miss = STAGE_CODES[LookupStage.MISS]
+        code_mem1 = STAGE_CODES[LookupStage.MEM1]
+        code_mem2 = STAGE_CODES[LookupStage.MEM2]
+        code_miss = STAGE_CODES[miss]
 
         flow_ids: List[int] = []
         hits = bytearray(count)
         new_flows = bytearray(count)
         stages = bytearray(count)
-        hit_total = 0
-        new_total = 0
+        cam_hits = 0
+        placements = 0
 
-        for i in range(count):
-            key = keys[i]
-            flow_id = -1
-            cam_value = cam.lookup(key)
-            if cam_value is not None:
-                flow_id = int(cam_value)
+        rows = zip(
+            block.keys(),
+            index1s,
+            index2s,
+            as_list(block.lengths),
+            as_list(block.timestamps),
+            as_list(block.flags),
+        )
+        for i, (key, index1, index2, length, timestamp, tcp_flags) in enumerate(rows):
+            flow_id = cam_get(key)
+            if flow_id is not None:
+                flow_id = int(flow_id)
                 hits[i] = 1
                 stages[i] = code_cam
-                hit_total += 1
+                cam_hits += 1
             else:
-                index1 = int(idx1_col[i])
-                index2 = int(idx2_col[i])
-                found = False
-                for memory, bucket in ((0, index1), (1, index2)):
-                    entries = memories[memory].get(bucket)
-                    if entries:
-                        for entry in entries:
-                            if entry.key == key:
-                                flow_id = entry.flow_id
-                                hits[i] = 1
-                                stages[i] = code_mem[memory]
-                                hit_total += 1
-                                found = True
-                                break
-                    if found:
+                for entry in mem1_get(index1, ()):
+                    if entry.key == key:
+                        flow_id = entry.flow_id
+                        hits[i] = 1
+                        stages[i] = code_mem1
                         break
-                if not found:
-                    if not insert_on_miss:
-                        stages[i] = code_miss
-                    else:
-                        insert = table.insert(key, indices=(index1, index2))
-                        if insert.already_present:
-                            flow_id = insert.flow_id
+                else:
+                    for entry in mem2_get(index2, ()):
+                        if entry.key == key:
+                            flow_id = entry.flow_id
                             hits[i] = 1
-                            stages[i] = STAGE_CODES[insert.stage]
-                            hit_total += 1
-                        elif not insert.inserted:
-                            self.insert_failures += 1
-                            stages[i] = code_miss
-                        else:
-                            new_flows[i] = 1
-                            stages[i] = STAGE_CODES[insert.stage]
-                            new_total += 1
-                            if insert.flow_id is not None:
-                                flow_id = insert.flow_id
-                                live_keys[insert.flow_id] = key
+                            stages[i] = code_mem2
+                            break
+                    else:
+                        flow_id = -1
+                        stages[i] = code_miss
+                        if insert_on_miss:
+                            placements += 1
+                            stage, placed_id, _, _, _ = place(key, index1, index2, index1 & 1, None)
+                            if stage is miss:
+                                self.insert_failures += 1
+                            else:
+                                flow_id = placed_id
+                                new_flows[i] = 1
+                                stages[i] = STAGE_CODES[stage]
+                                live_keys[flow_id] = key
             flow_ids.append(flow_id)
-            if flow_state is not None and flow_id >= 0:
-                flow_state.update(
-                    flow_id,
-                    flow_keys[i],
-                    length_bytes=int(lengths[i]),
-                    timestamp_ps=int(timestamps[i]),
-                    tcp_flags=int(flags[i]),
-                )
+            if update is not None and flow_id >= 0:
+                update(flow_id, key, length, timestamp, tcp_flags)
+
+        # What the per-row calls would have counted: one CAM search per row,
+        # and for every placement the search insert() makes before it places.
+        cam.searches += count + placements
+        cam.hits += cam_hits
+        table.lookups += placements
+        table.stage_hits[miss] += placements
+        hit_total = hits.count(1)
+        new_total = new_flows.count(1)
 
         self.submitted += count
         self.completed += count

@@ -10,9 +10,10 @@ stored; those removals become the deletion requests fed to the Update block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Union
 
 from repro.net.fivetuple import FlowKey
+from repro.net.parser import flow_key_from_engine_key
 
 
 @dataclass
@@ -146,14 +147,21 @@ class FlowStateTable:
     def update(
         self,
         flow_id: int,
-        key: FlowKey,
+        key: Union[FlowKey, bytes],
         length_bytes: int,
         timestamp_ps: int,
         tcp_flags: int = 0,
     ) -> FlowRecord:
-        """Account one packet to ``flow_id``, creating the record if needed."""
+        """Account one packet to ``flow_id``, creating the record if needed.
+
+        ``key`` is read only when the record is created, so the block body
+        passes the 13-byte engine key the table stores and the (validated)
+        :class:`FlowKey` is built here, once per flow rather than per packet.
+        """
         record = self._records.get(flow_id)
         if record is None:
+            if not isinstance(key, FlowKey):
+                key = flow_key_from_engine_key(key)
             record = FlowRecord(
                 flow_id=flow_id,
                 key=key,
@@ -166,7 +174,8 @@ class FlowStateTable:
             self.updated += 1
         record.packets += 1
         record.bytes += length_bytes
-        record.last_seen_ps = max(record.last_seen_ps, timestamp_ps)
+        if timestamp_ps > record.last_seen_ps:
+            record.last_seen_ps = timestamp_ps
         record.tcp_flags |= tcp_flags
         return record
 

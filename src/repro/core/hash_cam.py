@@ -214,8 +214,11 @@ class HashCamTable:
         overrides the hash computation (hash-pattern experiments).  When
         ``flow_id`` is ``None`` a location-derived ID is assigned (the FID_GEN
         behaviour).  Inserting an existing key returns its current location
-        without modification.
+        without modification.  A bad ``preferred_memory`` raises before any
+        counter moves.
         """
+        if preferred_memory not in (None, 0, 1):
+            raise ValueError("preferred_memory must be 0 or 1")
         if indices is None:
             indices = self.hash_indices(key)
         existing = self.lookup(key, indices=indices)
@@ -229,43 +232,55 @@ class HashCamTable:
                 slot=existing.slot,
                 already_present=True,
             )
-
         index1, index2 = indices
         if preferred_memory is None:
             preferred_memory = index1 & 1
-        elif preferred_memory not in (0, 1):
-            raise ValueError("preferred_memory must be 0 or 1")
+        stage, assigned, memory, bucket, slot = self._place(
+            key, index1, index2, preferred_memory, flow_id
+        )
+        return InsertResult(
+            inserted=stage is not LookupStage.MISS,
+            stage=stage,
+            flow_id=assigned,
+            memory=memory,
+            bucket=bucket,
+            slot=slot,
+        )
+
+    def _place(
+        self, key: bytes, index1: int, index2: int, preferred_memory: int, flow_id: Optional[int]
+    ) -> Tuple[LookupStage, Optional[int], Optional[int], Optional[int], Optional[int]]:
+        """Store a key the caller has just looked up and missed.
+
+        The placement half of :meth:`insert`: ``preferred_memory`` (0 or 1)
+        first, then the other memory, then the CAM.  Returns ``(stage,
+        flow_id, memory, bucket, slot)``; a stage of ``MISS`` means nothing
+        had room (counted in ``insert_failures``).  It does not search, so
+        calling it for a key that is present stores a duplicate.
+        """
         choices = ((0, index1), (1, index2))
         if preferred_memory == 1:
             choices = (choices[1], choices[0])
         for memory, bucket in choices:
             entries = self._memories[memory].setdefault(bucket, [])
             if len(entries) < self.bucket_entries:
-                slot = self._free_slot(memory, bucket, entries)
-                assigned = (
-                    flow_id if flow_id is not None else self.location_flow_id(memory, bucket, slot)
-                )
-                entries.append(TableEntry(key=key, flow_id=assigned))
+                base = self.location_flow_id(memory, bucket, 0)
+                slot = self._free_slot(base, entries)
+                assigned = base + slot if flow_id is None else flow_id
+                entries.append(TableEntry(key, assigned))
                 self._occupancy[memory] += 1
                 stage = LookupStage.MEM1 if memory == 0 else LookupStage.MEM2
-                return InsertResult(
-                    inserted=True,
-                    stage=stage,
-                    flow_id=assigned,
-                    memory=memory,
-                    bucket=bucket,
-                    slot=slot,
-                )
+                return stage, assigned, memory, bucket, slot
 
         assigned = flow_id if flow_id is not None else self._free_cam_id()
         if assigned is not None and self.cam.insert(key, assigned):
-            return InsertResult(inserted=True, stage=LookupStage.CAM, flow_id=assigned)
+            return LookupStage.CAM, assigned, None, None, None
         self.insert_failures += 1
-        return InsertResult(inserted=False, stage=LookupStage.MISS)
+        return LookupStage.MISS, None, None, None, None
 
-    def _free_slot(self, memory: int, bucket: int, entries: List[TableEntry]) -> int:
-        """The lowest *physical* slot of ``(memory, bucket)`` no live entry's
-        ID occupies.
+    def _free_slot(self, base: int, entries: List[TableEntry]) -> int:
+        """The lowest *physical* slot of a bucket no live entry's ID occupies
+        (``base`` is the bucket's slot-0 location ID).
 
         The entry list compacts on deletion (a storage artifact), but each
         survivor keeps the flow ID of the physical slot it was placed in.
@@ -277,12 +292,7 @@ class HashCamTable:
         the caller (``flow_id=...``) fall outside this bucket's location
         range and don't reserve a slot.
         """
-        base = self.location_flow_id(memory, bucket, 0)
-        used = {
-            entry.flow_id - base
-            for entry in entries
-            if 0 <= entry.flow_id - base < self.bucket_entries
-        }
+        used = {entry.flow_id - base for entry in entries}
         for slot in range(self.bucket_entries):
             if slot not in used:
                 return slot

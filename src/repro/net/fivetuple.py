@@ -10,6 +10,7 @@ functions and the DDR3-resident table entries operate on.
 from __future__ import annotations
 
 import ipaddress
+import struct
 from dataclasses import dataclass
 from typing import Union
 
@@ -21,6 +22,9 @@ PROTO_ICMP = 1
 
 FLOW_KEY_BITS = 104
 FLOW_KEY_BYTES = 13
+
+_PACKED = struct.Struct(">IIHHB")
+"""The :meth:`FlowKey.pack` layout: src_ip, dst_ip, src_port, dst_port, protocol."""
 
 
 def _ip_to_int(value: IPLike) -> int:
@@ -46,23 +50,23 @@ class FlowKey:
     protocol: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "src_ip", _ip_to_int(self.src_ip))
-        object.__setattr__(self, "dst_ip", _ip_to_int(self.dst_ip))
-        for name in ("src_port", "dst_port"):
+        # In-range ints (what every unpacker hands over) are stored as given;
+        # only strings and out-of-range values go through the converter.
+        for name in ("src_ip", "dst_ip"):
             value = getattr(self, name)
-            if not 0 <= value <= 0xFFFF:
-                raise ValueError(f"{name} out of range: {value}")
+            if type(value) is not int or not 0 <= value <= 0xFFFFFFFF:
+                object.__setattr__(self, name, _ip_to_int(value))
+        if not 0 <= self.src_port <= 0xFFFF:
+            raise ValueError(f"src_port out of range: {self.src_port}")
+        if not 0 <= self.dst_port <= 0xFFFF:
+            raise ValueError(f"dst_port out of range: {self.dst_port}")
         if not 0 <= self.protocol <= 0xFF:
             raise ValueError(f"protocol out of range: {self.protocol}")
 
     def pack(self) -> bytes:
         """13-byte wire representation: src_ip, dst_ip, src_port, dst_port, proto."""
-        return (
-            self.src_ip.to_bytes(4, "big")
-            + self.dst_ip.to_bytes(4, "big")
-            + self.src_port.to_bytes(2, "big")
-            + self.dst_port.to_bytes(2, "big")
-            + self.protocol.to_bytes(1, "big")
+        return _PACKED.pack(
+            self.src_ip, self.dst_ip, self.src_port, self.dst_port, self.protocol
         )
 
     @classmethod

@@ -12,6 +12,7 @@ field set.
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -45,6 +46,16 @@ FIVE_TUPLE: Tuple[TupleField, ...] = (
     TupleField.PROTOCOL,
 )
 """The standard 5-tuple in the order the paper lists it."""
+
+FIVE_TUPLE_STRUCT = struct.Struct(">IIHHB")
+"""The 13-byte engine key a :data:`FIVE_TUPLE` extractor produces — dst_ip,
+src_ip, dst_port, src_port, protocol — which is what the table stores."""
+
+
+def flow_key_from_engine_key(key_bytes: bytes) -> FlowKey:
+    """The (validated) :class:`FlowKey` a 13-byte engine key stands for."""
+    dst_ip, src_ip, dst_port, src_port, protocol = FIVE_TUPLE_STRUCT.unpack(key_bytes)
+    return FlowKey(src_ip, dst_ip, src_port, dst_port, protocol)
 
 
 @dataclass(frozen=True)

@@ -74,6 +74,11 @@ class ByteWriter:
         self._buffer += struct.pack("<d", value)
         return self
 
+    def raw(self, data: bytes) -> "ByteWriter":
+        """Bytes a codec packed itself (several fixed fields in one ``Struct``)."""
+        self._buffer += data
+        return self
+
     def blob(self, data: bytes) -> "ByteWriter":
         """A length-prefixed byte string (u32 length + raw bytes)."""
         self.u32(len(data))

@@ -29,6 +29,7 @@ Two shapes of API:
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -330,12 +331,19 @@ _register(MAGIC_PIPELINE, 1, TelemetryPipeline)((_encode_pipeline, _decode_pipel
 # --------------------------------------------------------------------------- #
 
 
+_RECORD = struct.Struct(f"<QI{FLOW_KEY_BYTES}sQQQQH")
+"""One flow record as :func:`_read_record` reads it: u64 flow ID, the packed
+key as a blob (u32 length + 13 bytes), u64 packets / bytes / first seen /
+last seen, u16 TCP flags — packed in one call, snapshots carry ~80 k of them."""
+
+
 def _write_record(writer: ByteWriter, record: FlowRecord) -> None:
-    writer.u64(record.flow_id)
-    writer.blob(record.key.pack())
-    writer.u64(record.packets).u64(record.bytes)
-    writer.u64(record.first_seen_ps).u64(record.last_seen_ps)
-    writer.u16(record.tcp_flags)
+    writer.raw(
+        _RECORD.pack(
+            record.flow_id, FLOW_KEY_BYTES, record.key.pack(), record.packets, record.bytes,
+            record.first_seen_ps, record.last_seen_ps, record.tcp_flags,
+        )
+    )
 
 
 def _read_record(reader: ByteReader) -> FlowRecord:

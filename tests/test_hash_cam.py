@@ -103,6 +103,19 @@ def test_preferred_memory_override():
         table.insert(b"\x43" * 13, preferred_memory=2)
 
 
+def test_bad_preferred_memory_fails_before_any_counter_moves(count_hash_calls):
+    table = make_table()
+    present = b"\x42" * 13
+    table.insert(present)
+    before = table.stats(), table.cam.stats()
+    hashed = count_hash_calls(table)
+    for key in (present, b"\x43" * 13):  # a present key used to slip through unchecked
+        with pytest.raises(ValueError, match="preferred_memory"):
+            table.insert(key, preferred_memory=2)
+    assert (table.stats(), table.cam.stats()) == before
+    assert hashed == []
+
+
 def test_explicit_indices_override_hashing():
     table = make_table()
     key = b"\x55" * 13

@@ -6,6 +6,8 @@ decoder misreads them, and restores into an incompatible world must fail
 with the same strictness the merge guards apply.
 """
 
+import struct
+
 import pytest
 
 from repro.core.config import small_test_config
@@ -207,3 +209,74 @@ def test_node_snapshot_round_trips_through_loads():
     }
     # dumps() dispatches cluster nodes to the node codec.
     assert dumps(node)[:4] == dump_node_snapshot(node)[:4]
+
+
+# --------------------------------------------------------------------------- #
+# Golden bytes: the flow-record wire layout
+# --------------------------------------------------------------------------- #
+
+# Frames of a fixed record set, written by the codec as it stood when every
+# record field was its own ``ByteWriter`` call; records are now packed in one
+# ``Struct`` and must come out byte for byte the same.
+GOLDEN_RECORD = (
+    "5246524301003b000000d89d7ef307000000000000000d0000000a000001c0a8010904d20050060300000000"
+    "00000094110000000000000a00000000000000e7030000000000001200"
+)
+GOLDEN_RECORD_ALL_ONES = (
+    "5246524301003b0000002274a633ffffffffffffffff0d000000ffffffffffffffffffffffffffffffffffff"
+    "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"
+)
+GOLDEN_FLOW_STATE = (
+    "524653540200f10000006966fb4a0000000000002e4003000000000000000500000000000000010000000000"
+    "00000000000000000000000000000000000000000000000000000200000000000000000000000d0000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"
+    "0007000000000000000d0000000a000001c0a8010904d2005006030000000000000094110000000000000a00"
+    "000000000000e703000000000000120001000000ffffffffffffffff0d000000ffffffffffffffffffffffff"
+    "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"
+)
+GOLDEN_FLOW_LUT = (
+    "52464c550100bc000000b1fcce71142000000000000000400000030000000d00000000000000000000000000"
+    "0000000100000000000000000d00000000000000000000000000000000000000000000000000000000000000"
+    "000000000000000000000000000000000000000d0000000a000001c0a8010904d2005006016c480000000000"
+    "000d0000000a000001c0a8010904d2005006030000000000000094110000000000000a00000000000000e703"
+    "00000000000012000d000000000102030405060708090a0b0c00"
+)
+
+
+def _golden_records():
+    return [
+        FlowRecord(7, FlowKey("10.0.0.1", "192.168.1.9", 1234, 80, 6), 3, 4500, 10, 999, 0x12),
+        FlowRecord(0, FlowKey(0, 0, 0, 0, 0)),
+        FlowRecord(2**64 - 1, FlowKey(0xFFFFFFFF, 0xFFFFFFFF, 0xFFFF, 0xFFFF, 0xFF),
+                   2**64 - 1, 2**64 - 1, 2**64 - 1, 2**64 - 1, 0xFFFF),
+    ]
+
+
+def test_flow_record_frames_are_the_recorded_bytes():
+    records = _golden_records()
+    assert dumps(records[0]).hex() == GOLDEN_RECORD
+    assert dumps(records[2]).hex() == GOLDEN_RECORD_ALL_ONES
+    table = FlowStateTable.from_state(
+        timeout_us=15.0, records=records[:2], exported=records[2:], created=3, updated=5, expired=1
+    )
+    assert dumps(table).hex() == GOLDEN_FLOW_STATE
+    lut = FlowLUT(CONFIG, flow_state=FlowStateTable())
+    for record in _golden_records()[:2]:
+        assert lut.restore_flow(record)
+    lut.preload([bytes(range(13))])
+    assert dump_flow_lut(lut).hex() == GOLDEN_FLOW_LUT
+    # ... and the unchanged reader takes them back.
+    assert loads(bytes.fromhex(GOLDEN_RECORD)) == records[0]
+    assert [entry[1] for entry in loads(bytes.fromhex(GOLDEN_FLOW_LUT)).entries] == [
+        lut.flow_state.get(flow_id) for flow_id, _ in lut.live_items()
+    ]
+
+
+def test_out_of_range_record_fields_are_refused_not_truncated():
+    record = _golden_records()[0]
+    record.tcp_flags = 0x1_0000
+    with pytest.raises(struct.error):
+        dumps(record)
+    record.tcp_flags, record.packets = 0, -1
+    with pytest.raises(struct.error):
+        dumps(record)
