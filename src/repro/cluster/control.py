@@ -196,12 +196,13 @@ class ClusterControl:
         self.windows_seen = 0
         self.flows_moved = 0
         self.flows_lost = 0
-        # Per-flow cumulative packet marks (key -> packets at last step):
-        # one global dict, because a flow has exactly one owner cluster-wide
-        # and keeps its cumulative count across migrations — per-node marks
-        # would go stale the moment the policy moved a flow.
+        # Per-flow cumulative packet marks (key -> packets) at this window
+        # and at the previous one: global dicts, because a flow has exactly
+        # one owner cluster-wide and keeps its cumulative count across
+        # migrations — per-node marks would go stale the moment the policy
+        # moved a flow.  A window's delta is the difference of the two.
         self._flow_marks: Dict[bytes, int] = {}
-        self._flow_deltas: Dict[bytes, float] = {}
+        self._previous_marks: Dict[bytes, int] = {}
         # Rebalance hysteresis state.
         self._rebalance_streak = 0
         self._rebalance_engaged = False
@@ -269,27 +270,33 @@ class ClusterControl:
 
     # -- flow-level signal ---------------------------------------------------
 
-    def _refresh_flow_deltas(self) -> Dict[bytes, float]:
-        """Per-flow packet deltas since the previous step, fleet-wide.
+    def _refresh_flow_deltas(self) -> None:
+        """Take this window's per-flow packet marks, fleet-wide.
 
-        Reads every live flow's cumulative packet count and diffs it
-        against the global marks (clamped at 0: a flow that expired and
-        re-learned restarts its count).  Marks for flows no longer live
-        are dropped so the dict tracks the live set, not history.
+        Only snapshots: one ``{key: packets}`` dict over every node's live
+        flows (:meth:`ShardedFlowLUT.live_packet_counts`), with the previous
+        window's marks kept beside it.  No delta is computed here — windows
+        that do not pin never read one; :meth:`_flow_delta` derives it on
+        demand, only for the hot node's flows.  Marks of flows no longer
+        live drop out, so the dicts track the live set, not history.
         """
         marks: Dict[bytes, int] = {}
-        deltas: Dict[bytes, float] = {}
         for node in self.coordinator.nodes.values():
-            for key_bytes, record in node.engine.live_flow_pairs():
-                if record is None:
-                    continue
-                marks[key_bytes] = record.packets
-                deltas[key_bytes] = float(
-                    max(record.packets - self._flow_marks.get(key_bytes, 0), 0)
-                )
+            marks.update(node.engine.live_packet_counts())
+        self._previous_marks = self._flow_marks
         self._flow_marks = marks
-        self._flow_deltas = deltas
-        return deltas
+
+    def _flow_delta(self, key_bytes: bytes) -> float:
+        """One flow's packets between the previous window's marks and this
+        window's, clamped at 0: a flow that expired and re-learned restarts
+        its count (and a flow unknown to the marks reads 0)."""
+        return float(
+            max(
+                self._flow_marks.get(key_bytes, 0)
+                - self._previous_marks.get(key_bytes, 0),
+                0,
+            )
+        )
 
     # -- autoscaling ---------------------------------------------------------
 
@@ -392,7 +399,10 @@ class ClusterControl:
         """Shed the hot node's excess by pinning its hottest flows away.
 
         Candidates are the hot node's live flows whose window delta exceeds
-        ``hot_flow_share`` of the window total, hottest first; each is
+        ``hot_flow_share`` of the window total, hottest first.  The deltas
+        are computed here, lazily — the hot node's flows only, and only in a
+        window that reaches this lever (:meth:`_flow_delta` over the marks
+        :meth:`_refresh_flow_deltas` took for this window).  Each is
         assigned to the currently least-loaded other node (greedy, tracking
         the running loads) until the excess over the mean is shed or the
         per-action pin budget runs out.  Returns ``None`` when no flow
@@ -408,7 +418,7 @@ class ClusterControl:
         for key_bytes, record in node.engine.live_flow_pairs():
             if record is None:
                 continue
-            delta = self._flow_deltas.get(key_bytes, 0.0)
+            delta = self._flow_delta(key_bytes)
             if delta >= floor:
                 candidates.append((delta, key_bytes))
         if not candidates:

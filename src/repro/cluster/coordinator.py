@@ -644,14 +644,20 @@ class ClusterCoordinator:
         if node is None:
             raise KeyError(f"node {node_id!r} is not a member")
         data = dump_node_snapshot(node, obs=self._metrics)
-        self.checkpoints[node_id] = data
         if self.checkpoint_dir is not None:
             # Write-then-rename so a crash mid-write never leaves a torn
-            # frame where the next incarnation expects a checkpoint.
+            # frame where the next incarnation expects a checkpoint.  The
+            # disk step goes first: if it fails, the scratch file is removed
+            # and the in-memory checkpoint still matches the file on disk.
             target = self.checkpoint_dir / f"{node_id}.ckpt"
             scratch = target.with_name(target.name + ".tmp")
-            scratch.write_bytes(data)
-            os.replace(scratch, target)
+            try:
+                scratch.write_bytes(data)
+                os.replace(scratch, target)
+            except BaseException:
+                scratch.unlink(missing_ok=True)
+                raise
+        self.checkpoints[node_id] = data
         self._checkpointed_at[node_id] = node.completed
         self.checkpoints_taken += 1
         meta = {

@@ -589,6 +589,24 @@ class FlowLUT:
             for flow_id, key_bytes in self.live_items()
         ]
 
+    def live_packet_counts(self) -> Dict[bytes, int]:
+        """``{key_bytes: packets}`` for every live flow that has a record.
+
+        The cheap counterpart of :meth:`live_flow_pairs` for a reader that
+        wants only the cumulative packet counts (the control loop's per-window
+        marks): one unsorted pass over the live-key map joined with flow
+        state.  Keys without a record (preloaded, or no table attached) are
+        left out.
+        """
+        if self.flow_state is None:
+            return {}
+        get = self.flow_state.get
+        return {
+            key_bytes: record.packets
+            for flow_id, key_bytes in self._live_keys.items()
+            if (record := get(flow_id)) is not None
+        }
+
     def restore_flow(self, record, key_bytes: Optional[bytes] = None) -> bool:
         """Re-home a migrated flow: functional insert plus state adoption.
 

@@ -393,6 +393,18 @@ class ShardedFlowLUT:
             pairs.extend(shard.live_flow_pairs())
         return pairs
 
+    def live_packet_counts(self) -> Dict[bytes, int]:
+        """``{engine_key_bytes: packets}`` for every live flow with a record.
+
+        :meth:`FlowLUT.live_packet_counts` merged across shards (a key lives
+        on exactly one shard): unsorted, no record objects handed out — the
+        per-window read the control loop takes its packet marks from.
+        """
+        counts: Dict[bytes, int] = {}
+        for shard in self.shards:
+            counts.update(shard.live_packet_counts())
+        return counts
+
     def drain_exported(self) -> List[FlowRecord]:
         """Drain every shard's export stream, in flow-termination order.
 

@@ -452,9 +452,26 @@ class NodeSnapshot:
         return self.pipeline.packets if self.pipeline is not None else 0
 
 
+_ENTRY = struct.Struct(f"<I{FLOW_KEY_BYTES}sB{_RECORD.format[1:]}")
+"""One snapshotted flow with a record and a 13-byte engine key, as
+:func:`_read_entries` reads it: the key blob (u32 length + 13 bytes), the
+present flag (1), then the record laid out as :data:`_RECORD`."""
+
+
 def _write_entries(writer: ByteWriter, entries: List[FlowEntry]) -> None:
     writer.u32(len(entries))
+    pack, raw = _ENTRY.pack, writer.raw
     for key_bytes, record in entries:
+        if record is not None and len(key_bytes) == FLOW_KEY_BYTES:
+            raw(
+                pack(
+                    FLOW_KEY_BYTES, key_bytes, 1,
+                    record.flow_id, FLOW_KEY_BYTES, record.key.pack(), record.packets,
+                    record.bytes, record.first_seen_ps, record.last_seen_ps, record.tcp_flags,
+                )
+            )
+            continue
+        # Preloaded keys (no record) and keys of another width: field by field.
         writer.blob(key_bytes)
         if record is None:
             writer.u8(0)

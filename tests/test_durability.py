@@ -487,6 +487,45 @@ def test_checkpoint_dir_writes_loadable_frames(tmp_path):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+def test_failed_disk_write_leaves_the_checkpoint_state_untouched(tmp_path, monkeypatch):
+    """Fail before mutate: a rename that raises must leave the in-memory
+    checkpoint, its trigger and meta, the counters, the journal and the
+    directory exactly as they were — no half-committed frame, no ``.tmp``."""
+    from repro.cluster import coordinator as coordinator_module
+    from repro.obs import Observability
+
+    coordinator = ClusterCoordinator(
+        nodes=3, config=CONFIG, telemetry_seed=16, checkpoint_dir=tmp_path,
+        obs=Observability(),
+    )
+    descriptors = scenario_descriptors("zipf_mix", 600, seed=16)
+    coordinator.ingest(descriptors[:300])
+    coordinator.checkpoint_all()
+    coordinator.ingest(descriptors[300:])
+    node_id = _busiest(coordinator)
+    before = (
+        dict(coordinator.checkpoints), dict(coordinator._checkpointed_at),
+        {key: dict(meta) for key, meta in coordinator._checkpoint_meta.items()},
+        coordinator.checkpoints_taken, coordinator.journal.events(),
+        {file.name: file.read_bytes() for file in tmp_path.iterdir()},
+    )
+
+    def refuse(source, target):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(coordinator_module.os, "replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        coordinator.checkpoint_node(node_id)
+    after = (
+        dict(coordinator.checkpoints), dict(coordinator._checkpointed_at),
+        {key: dict(meta) for key, meta in coordinator._checkpoint_meta.items()},
+        coordinator.checkpoints_taken, coordinator.journal.events(),
+        {file.name: file.read_bytes() for file in tmp_path.iterdir()},
+    )
+    assert after == before
+    assert coordinator.checkpoints[node_id] != dump_node_snapshot(coordinator.nodes[node_id])
+
+
 def test_checkpoint_files_are_consumed_with_their_nodes(tmp_path):
     coordinator = ClusterCoordinator(
         nodes=3, config=CONFIG, telemetry_seed=12, checkpoint_dir=tmp_path,

@@ -7,6 +7,7 @@ with the same strictness the merge guards apply.
 """
 
 import struct
+from types import SimpleNamespace
 
 import pytest
 
@@ -280,3 +281,40 @@ def test_out_of_range_record_fields_are_refused_not_truncated():
     record.tcp_flags, record.packets = 0, -1
     with pytest.raises(struct.error):
         dumps(record)
+
+
+# A node checkpoint whose entries mix the four kinds ``_write_entries`` meets:
+# a 13-byte key with a record, a key with no record (preloaded), a key of
+# another width, and all-ones field values.  Recorded when every entry was
+# written field by field; entries are now one ``Struct`` each where they can be.
+GOLDEN_NODE = (
+    "524e4f4401000d0100008ab1626e06000000676f6c64656effffffffffffffff00050000000d000000000102"
+    "030405060708090a0b0c0107000000000000000d0000000a000001c0a8010904d20050060300000000000000"
+    "94110000000000000a00000000000000e70300000000000012000d0000001415161718191a1b1c1d1e1f2000"
+    "030000000506070100000000000000000d000000000000000000000000000000000000000000000000000000"
+    "00000000000000000000000000000000000000000000000d000000ffffffffffffffffffffffffff01ffffff"
+    "ffffffffff0d000000ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"
+    "ffffffffffffffffffffffff02000000010200"
+)
+
+
+def _golden_node_entries():
+    records = _golden_records()
+    return [
+        (bytes(range(13)), records[0]),
+        (bytes(range(20, 33)), None),
+        (b"\x05\x06\x07", records[1]),
+        (b"\xff" * 13, records[2]),
+        (b"\x01\x02", None),
+    ]
+
+
+def test_node_checkpoint_frame_is_the_recorded_bytes():
+    node = SimpleNamespace(
+        node_id="golden", completed=2**64 - 1, pipeline=None,
+        engine=SimpleNamespace(live_flow_pairs=_golden_node_entries),
+    )
+    assert dump_node_snapshot(node).hex() == GOLDEN_NODE
+    snapshot = load_node_snapshot(bytes.fromhex(GOLDEN_NODE))
+    assert (snapshot.node_id, snapshot.completed, snapshot.pipeline) == ("golden", 2**64 - 1, None)
+    assert snapshot.flows == _golden_node_entries()
