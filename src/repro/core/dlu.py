@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.config import FlowLUTConfig
@@ -81,12 +82,19 @@ class DataLookupUnit:
         self._bank_pointer = 0
         self._write_queue: Deque[PendingWrite] = deque()
         self._blocked: Dict[int, List[PendingLookup]] = {}
-        self._lu1_pending = 0
+        self._lu1_depth = config.lu1_queue_depth
+        self.lu1_headroom = config.lu1_queue_depth
+        """Free slots in the first-lookup input queue (drives the sequencer)."""
         self._lu2_pending = 0
         self._drain_callbacks: List[Callable[[], None]] = []
         self._issue_period_ps = config.dlu_issue_cycles * config.system_clock_period_ps
         self._next_issue_ps = 0
         self._pump_scheduled = False
+        self._bursts_per_bucket = config.bursts_per_bucket
+        # Controllers without an address mapping (the QDR SRAM model) have
+        # no banks: every lookup queues on bank 0.
+        mapping = getattr(controller, "mapping", None)
+        self._decompose = mapping.decompose if mapping is not None else None
 
         self.lu1_accepted = 0
         self.lu2_accepted = 0
@@ -104,14 +112,9 @@ class DataLookupUnit:
     # ------------------------------------------------------------------ #
 
     @property
-    def lu1_headroom(self) -> int:
-        """Free slots in the first-lookup input queue (drives the sequencer)."""
-        return max(0, self.config.lu1_queue_depth - self._lu1_pending)
-
-    @property
     def pending_lookups(self) -> int:
         blocked = sum(len(items) for items in self._blocked.values())
-        return self._lu1_pending + self._lu2_pending + blocked
+        return self._lu1_depth - self.lu1_headroom + self._lu2_pending + blocked
 
     @property
     def busy(self) -> bool:
@@ -141,18 +144,19 @@ class DataLookupUnit:
         if lookup_num == 1:
             if self.lu1_headroom <= 0:
                 return False
-            self._lu1_pending += 1
+            self.lu1_headroom -= 1
             self.lu1_accepted += 1
-            self.max_lu1_pending = max(self.max_lu1_pending, self._lu1_pending)
+            lu1_pending = self._lu1_depth - self.lu1_headroom
+            if lu1_pending > self.max_lu1_pending:
+                self.max_lu1_pending = lu1_pending
         else:
             self._lu2_pending += 1
             self.lu2_accepted += 1
-            self.max_lu2_pending = max(self.max_lu2_pending, self._lu2_pending)
+            if self._lu2_pending > self.max_lu2_pending:
+                self.max_lu2_pending = self._lu2_pending
 
-        bank, _, _ = self.controller.mapping.decompose(address) if hasattr(
-            self.controller, "mapping"
-        ) else (0, 0, 0)
-        pending = PendingLookup(job=job, lookup_num=lookup_num, address=address, bank=bank)
+        bank = self._decompose(address)[0] if self._decompose is not None else 0
+        pending = PendingLookup(job, lookup_num, address, bank)
         self.bank_histogram[bank % len(self.bank_histogram)] += 1
 
         if self.config.request_filter_enabled and address in self._blocked:
@@ -176,8 +180,8 @@ class DataLookupUnit:
         Bank Selector is disabled)."""
         queues = self._bank_queues
         count = len(queues)
-        for offset in range(count):
-            index = (self._bank_pointer + offset) % count
+        pointer = self._bank_pointer
+        for index in chain(range(pointer, count), range(pointer)):
             if queues[index]:
                 self._bank_pointer = (index + 1) % count
                 return queues[index].popleft()
@@ -216,28 +220,31 @@ class DataLookupUnit:
     # ------------------------------------------------------------------ #
 
     def _pump(self) -> None:
+        controller = self.controller
+        sim = self.sim
+        write_queue = self._write_queue
         issued_any = False
-        while self.controller.can_accept():
+        while controller.can_accept():
             # The Memory Control block presents at most one request to the
             # controller user interface every ``dlu_issue_cycles`` system
             # cycles; defer the rest of the work until that slot opens.
-            if self.sim.now < self._next_issue_ps:
-                self._schedule_pump(self._next_issue_ps)
+            now = sim._now
+            if now < self._next_issue_ps:
+                if not self._pump_scheduled:
+                    self._pump_scheduled = True
+                    sim.schedule_at(self._next_issue_ps, self._deferred_pump)
                 break
             # Drain queued update writes first so they stay contiguous.
-            if self._write_queue:
-                write = self._write_queue.popleft()
+            if write_queue:
+                write = write_queue.popleft()
                 request = MemoryRequest(
-                    op=MemoryOp.WRITE,
-                    address=write.address,
-                    bursts=write.bursts,
-                    callback=self._make_write_callback(write),
+                    MemoryOp.WRITE, write.address, write.bursts, self._on_write, write
                 )
-                if not self.controller.submit(request):
-                    self._write_queue.appendleft(write)
+                if not controller.submit(request):
+                    write_queue.appendleft(write)
                     break
                 self.writes_issued += 1
-                self._account_issue_slot()
+                self._next_issue_ps = now + self._issue_period_ps
                 issued_any = True
                 continue
 
@@ -245,20 +252,17 @@ class DataLookupUnit:
             if pending is None:
                 break
             request = MemoryRequest(
-                op=MemoryOp.READ,
-                address=pending.address,
-                bursts=self.config.bursts_per_bucket,
-                callback=self._make_read_callback(pending),
+                MemoryOp.READ, pending.address, self._bursts_per_bucket, self._on_read, pending
             )
-            if not self.controller.submit(request):
+            if not controller.submit(request):
                 # Put it back where it came from and stop for now.
                 self._bank_queues[pending.bank % len(self._bank_queues)].appendleft(pending)
                 break
             self.reads_issued += 1
-            self._account_issue_slot()
+            self._next_issue_ps = now + self._issue_period_ps
             issued_any = True
             if pending.lookup_num == 1:
-                self._lu1_pending -= 1
+                self.lu1_headroom += 1
             else:
                 self._lu2_pending -= 1
 
@@ -266,31 +270,18 @@ class DataLookupUnit:
             for callback in self._drain_callbacks:
                 callback()
 
-    def _account_issue_slot(self) -> None:
-        self._next_issue_ps = max(self.sim.now, self._next_issue_ps) + self._issue_period_ps
-
-    def _schedule_pump(self, when_ps: int) -> None:
-        if self._pump_scheduled:
-            return
-        self._pump_scheduled = True
-        self.sim.schedule_at(max(when_ps, self.sim.now), self._deferred_pump)
-
     def _deferred_pump(self) -> None:
         self._pump_scheduled = False
         self._pump()
 
-    def _make_read_callback(self, pending: PendingLookup):
-        def _on_read(_request: MemoryRequest, now_ps: int) -> None:
-            self.on_bucket_data(pending.job, pending.lookup_num, now_ps)
+    def _on_read(self, request: MemoryRequest, now_ps: int) -> None:
+        pending = request.metadata
+        self.on_bucket_data(pending.job, pending.lookup_num, now_ps)
 
-        return _on_read
-
-    def _make_write_callback(self, write: PendingWrite):
-        def _on_write(_request: MemoryRequest, now_ps: int) -> None:
-            if write.callback is not None:
-                write.callback(write.address, now_ps)
-
-        return _on_write
+    def _on_write(self, request: MemoryRequest, now_ps: int) -> None:
+        write = request.metadata
+        if write.callback is not None:
+            write.callback(write.address, now_ps)
 
     # ------------------------------------------------------------------ #
     # Reporting

@@ -22,8 +22,9 @@ charged with realistic time by the event-driven simulator:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.config import FlowLUTConfig
 from repro.core.dlu import DataLookupUnit
@@ -36,7 +37,6 @@ from repro.memory.controller import AddressMapping, DDR3Controller
 from repro.net.parser import PacketDescriptor
 from repro.sim.clock import Clock
 from repro.sim.engine import Simulator
-from repro.sim.fifo import Fifo
 from repro.sim.stats import RateMeter, RunningStats
 
 
@@ -76,6 +76,11 @@ class LookupOutcome:
         return self.latency_ps / 1000.0
 
 
+# The first-lookup paths still free this cycle, indexed by the bit mask of
+# paths (bit 0 = A, bit 1 = B) that already took a descriptor.
+_AVAILABLE = (frozenset((0, 1)), frozenset((1,)), frozenset((0,)), frozenset())
+
+
 class FlowLUT:
     """The timed dual-path flow lookup table.
 
@@ -105,6 +110,7 @@ class FlowLUT:
         cfg = self.config
         self.clock = Clock(cfg.system_clock_hz, name="flow_lut_sys")
         self._sys_period = cfg.system_clock_period_ps
+        self._bucket_stride = cfg.bursts_per_bucket * cfg.geometry.burst_bytes
 
         self.table = HashCamTable(cfg)
         self.sequencer = Sequencer(
@@ -142,7 +148,11 @@ class FlowLUT:
             self.flow_matches.append(FlowMatch(name=f"flow_match_{label}"))
             self.updates.append(UpdateBlock(self.sim, cfg, dlu, name=f"updt_{label}"))
 
-        self._input: Fifo[LookupJob] = Fifo(capacity=input_queue_depth, name="sequencer_input")
+        if input_queue_depth <= 0:
+            raise ValueError(f"input_queue_depth must be positive, got {input_queue_depth}")
+        # The descriptor FIFO in front of the sequencer.
+        self._input: Deque[LookupJob] = deque()
+        self._input_depth = input_queue_depth
         self._dispatch_scheduled = False
         self._in_dispatch = False
 
@@ -164,18 +174,14 @@ class FlowLUT:
     # ------------------------------------------------------------------ #
 
     def _bucket_address(self, bucket: int) -> int:
-        cfg = self.config
-        return bucket * cfg.bursts_per_bucket * cfg.geometry.burst_bytes
-
-    def _bucket_for_memory(self, job: LookupJob, memory: int) -> int:
-        return job.index1 if memory == 0 else job.index2
+        return bucket * self._bucket_stride
 
     # ------------------------------------------------------------------ #
     # Submission and warm-up
     # ------------------------------------------------------------------ #
 
     def can_accept(self) -> bool:
-        return not self._input.is_full
+        return len(self._input) < self._input_depth
 
     def submit(self, descriptor) -> bool:
         """Offer one descriptor; returns ``False`` when the input FIFO is full.
@@ -185,7 +191,7 @@ class FlowLUT:
         attribute overrides the hash computation (used by the Table II-A hash
         pattern experiments).
         """
-        if self._input.is_full:
+        if len(self._input) >= self._input_depth:
             return False
         key = descriptor.key_bytes
         indices = getattr(descriptor, "bucket_indices", None)
@@ -195,18 +201,13 @@ class FlowLUT:
             index1, index2 = indices
             index1 %= self.table.buckets_per_memory
             index2 %= self.table.buckets_per_memory
-        job = LookupJob(
-            descriptor=descriptor,
-            key=key,
-            index1=index1,
-            index2=index2,
-            submit_ps=self.sim.now,
-        )
+        now = self.sim._now
+        job = LookupJob(descriptor, key, index1, index2, now)
         job.preferred_path = self.sequencer.preferred_path(index1)
-        self._input.push(job)
+        self._input.append(job)
         self.submitted += 1
         if self._first_submit_ps is None:
-            self._first_submit_ps = self.sim.now
+            self._first_submit_ps = now
         self._schedule_dispatch()
         return True
 
@@ -412,45 +413,52 @@ class FlowLUT:
     # ------------------------------------------------------------------ #
 
     def _schedule_dispatch(self) -> None:
-        if self._dispatch_scheduled or self._in_dispatch or self._input.is_empty:
+        if self._dispatch_scheduled or self._in_dispatch or not self._input:
             return
         self._dispatch_scheduled = True
-        self.sim.schedule_at(self.clock.next_edge(self.sim.now), self._dispatch)
+        self.sim.schedule_at(self.clock.next_edge(self.sim._now), self._dispatch)
 
     def _dispatch(self) -> None:
         self._dispatch_scheduled = False
         self._in_dispatch = True
-        dispatched: set = set()
+        pending = self._input
+        dlu_a, dlu_b = self.dlus
+        cam_lookup = self.table.cam.lookup
+        choose = self.sequencer.choose
+        now = self.sim._now
+        # Paths that already took a descriptor this cycle, as a bit mask.
+        dispatched = 0
         try:
-            while self._input and len(dispatched) < 2:
-                job = self._input.peek()
+            while pending and dispatched != 3:
+                job = pending[0]
 
                 # Stage 1: the on-chip CAM resolves overflow entries without DRAM.
-                cam_value = self.table.cam.lookup(job.key)
+                cam_value = cam_lookup(job.key)
                 if cam_value is not None:
-                    self._input.pop()
+                    pending.popleft()
                     job.first_path = None
                     self._finish(job, found=True, stage=LookupStage.CAM,
                                  flow_id=int(cam_value), new_flow=False)
                     continue
 
-                headroom_a = self.dlus[0].lu1_headroom if 0 not in dispatched else 0
-                headroom_b = self.dlus[1].lu1_headroom if 1 not in dispatched else 0
-                available = {p for p in (0, 1) if p not in dispatched}
-                path = self.sequencer.choose(job.preferred_path, headroom_a, headroom_b, available)
+                headroom_a = dlu_a.lu1_headroom if not dispatched & 1 else 0
+                headroom_b = dlu_b.lu1_headroom if not dispatched & 2 else 0
+                path = choose(
+                    job.preferred_path, headroom_a, headroom_b, _AVAILABLE[dispatched]
+                )
                 if path is None:
                     break
-                self._input.pop()
-                dispatched.add(path)
+                pending.popleft()
+                dispatched |= 1 << path
                 job.first_path = path
-                job.dispatch_ps = self.sim.now
-                address = self._bucket_address(self._bucket_for_memory(job, path))
+                job.dispatch_ps = now
+                address = (job.index1 if path == 0 else job.index2) * self._bucket_stride
                 self.dlus[path].submit_lookup(job, 1, address)
         finally:
             self._in_dispatch = False
-        if self._input and (dispatched or any(dlu.lu1_headroom > 0 for dlu in self.dlus)):
+        if pending and (dispatched or dlu_a.lu1_headroom > 0 or dlu_b.lu1_headroom > 0):
             self._dispatch_scheduled = True
-            self.sim.schedule_at(self.clock.next_edge(self.sim.now + 1), self._dispatch)
+            self.sim.schedule_at(self.clock.next_edge(self.sim._now + 1), self._dispatch)
 
     # ------------------------------------------------------------------ #
     # Lookup pipeline (bucket data -> flow match -> second lookup / miss)
@@ -462,20 +470,20 @@ class FlowLUT:
         self.sim.schedule(delay, self._after_match, job, lookup_num)
 
     def _after_match(self, job: LookupJob, lookup_num: int) -> None:
+        # Path A reads memory 1 (the first hash's bucket), path B memory 2.
         path = job.first_path if lookup_num == 1 else 1 - job.first_path
-        memory = path
-        bucket = self._bucket_for_memory(job, memory)
-        entries = self.table.bucket_entries_at(memory, bucket)
+        bucket = job.index1 if path == 0 else job.index2
+        entries = self.table.bucket_entries_at(path, bucket)
         result = self.flow_matches[path].match(entries, job.key)
 
         if result.matched:
-            stage = LookupStage.MEM1 if memory == 0 else LookupStage.MEM2
+            stage = LookupStage.MEM1 if path == 0 else LookupStage.MEM2
             self._finish(job, found=True, stage=stage, flow_id=result.flow_id, new_flow=False)
             return
 
         if lookup_num == 1:
             other = 1 - path
-            address = self._bucket_address(self._bucket_for_memory(job, other))
+            address = (job.index1 if other == 0 else job.index2) * self._bucket_stride
             self.dlus[other].submit_lookup(job, 2, address)
             return
 
@@ -520,16 +528,9 @@ class FlowLUT:
         flow_id: Optional[int],
         new_flow: bool,
     ) -> None:
-        now = self.sim.now
+        now = self.sim._now
         outcome = LookupOutcome(
-            descriptor=job.descriptor,
-            flow_id=flow_id,
-            hit=found,
-            new_flow=new_flow,
-            stage=stage,
-            first_path=job.first_path,
-            submit_ps=job.submit_ps,
-            complete_ps=now,
+            job.descriptor, flow_id, found, new_flow, stage, job.first_path, job.submit_ps, now
         )
         self.results.append(outcome)
         self.completed += 1
@@ -541,18 +542,20 @@ class FlowLUT:
             self.new_flows += 1
         self.rate.record(now)
         self.latency.record(now - job.submit_ps)
-        self._last_complete_ps = max(self._last_complete_ps, now)
+        if now > self._last_complete_ps:
+            self._last_complete_ps = now
 
-        descriptor = job.descriptor
-        key = getattr(descriptor, "key", None)
-        if self.flow_state is not None and flow_id is not None and key is not None:
-            self.flow_state.update(
-                flow_id,
-                key,
-                length_bytes=getattr(descriptor, "length_bytes", 0),
-                timestamp_ps=getattr(descriptor, "timestamp_ps", now),
-                tcp_flags=getattr(descriptor, "tcp_flags", 0),
-            )
+        if self.flow_state is not None and flow_id is not None:
+            descriptor = job.descriptor
+            key = getattr(descriptor, "key", None)
+            if key is not None:
+                self.flow_state.update(
+                    flow_id,
+                    key,
+                    length_bytes=getattr(descriptor, "length_bytes", 0),
+                    timestamp_ps=getattr(descriptor, "timestamp_ps", now),
+                    tcp_flags=getattr(descriptor, "tcp_flags", 0),
+                )
         if self.on_result is not None:
             self.on_result(outcome)
 

@@ -85,19 +85,20 @@ class DescriptorSource:
             self.finished_ps = self.flow_lut.sim.now
 
     def _tick(self) -> None:
-        if self.done:
+        index = self._index
+        if index >= len(self.descriptors):
             return
-        descriptor = self.descriptors[self._index]
-        if self.flow_lut.submit(descriptor):
+        flow_lut = self.flow_lut
+        if flow_lut.submit(self.descriptors[index]):
             self.offered += 1
-            self._index += 1
+            self._index = index + 1
             if self.done:
-                self.finished_ps = self.flow_lut.sim.now
+                self.finished_ps = flow_lut.sim.now
                 return
-            self.flow_lut.sim.schedule(self.interval_ps, self._tick)
+            flow_lut.sim.schedule(self.interval_ps, self._tick)
         else:
             self.retries += 1
-            self.flow_lut.sim.schedule(self.retry_ps, self._tick)
+            flow_lut.sim.schedule(self.retry_ps, self._tick)
 
 
 def run_lookup_experiment(

@@ -36,6 +36,14 @@ class LoadBalancePolicy(enum.Enum):
     ROUND_ROBIN = "round_robin"
 
 
+# Policies that fix the path per descriptor and stall rather than divert.
+_PREFERRED_PATH_POLICIES = (
+    LoadBalancePolicy.FIXED,
+    LoadBalancePolicy.HASH,
+    LoadBalancePolicy.ROUND_ROBIN,
+)
+
+
 class Sequencer:
     """Chooses the first lookup path for each descriptor.
 
@@ -106,7 +114,7 @@ class Sequencer:
         """
         candidates = available if available is not None else {0, 1}
 
-        if self.policy in (LoadBalancePolicy.FIXED, LoadBalancePolicy.HASH, LoadBalancePolicy.ROUND_ROBIN):
+        if self.policy in _PREFERRED_PATH_POLICIES:
             headroom = headroom_a if preferred == 0 else headroom_b
             if preferred in candidates and headroom > 0:
                 self.dispatched[preferred] += 1

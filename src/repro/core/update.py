@@ -66,6 +66,8 @@ class UpdateBlock:
         self.name = name
         self._pending: List[UpdateRequest] = []
         self._timeout_event: Optional[Event] = None
+        self._timeout_ps = config.burst_write_timeout_cycles * config.system_clock_period_ps
+        self._bursts_per_bucket = config.bursts_per_bucket
 
         self.insert_requests = 0
         self.delete_requests = 0
@@ -119,8 +121,7 @@ class UpdateBlock:
         if len(self._pending) >= self.config.burst_write_threshold:
             self._flush(reason="threshold")
         elif self._timeout_event is None:
-            timeout_ps = self.config.burst_write_timeout_cycles * self.config.system_clock_period_ps
-            self._timeout_event = self.sim.schedule(timeout_ps, self._on_timeout)
+            self._timeout_event = self.sim.schedule(self._timeout_ps, self._on_timeout)
 
     def _on_timeout(self) -> None:
         self._timeout_event = None
@@ -152,7 +153,7 @@ class UpdateBlock:
         writes = [
             PendingWrite(
                 address=update.address,
-                bursts=self.config.bursts_per_bucket,
+                bursts=self._bursts_per_bucket,
                 callback=self._make_completion(update),
             )
             for update in batch

@@ -40,23 +40,6 @@ class Bank:
     def state(self) -> BankState:
         return BankState.ACTIVE if self.open_row is not None else BankState.IDLE
 
-    def classify_access(self, row: int) -> str:
-        """Classify an access to ``row`` as ``"hit"``, ``"empty"`` or ``"conflict"``."""
-        if self.open_row is None:
-            return "empty"
-        if self.open_row == row:
-            return "hit"
-        return "conflict"
-
-    def record_activate(self, row: int, time_ps: int) -> None:
-        self.open_row = row
-        self.last_activate_ps = time_ps
-        self.activates += 1
-
-    def record_precharge(self, time_ps: int) -> None:
-        self.open_row = None
-        self.precharges += 1
-
     def stats(self) -> dict:
         return {
             "bank": self.index,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Tuple
 
 
 class CommandType(enum.Enum):
@@ -58,6 +58,10 @@ class MemoryRequest:
         available (reads) or written (writes).
     metadata: opaque payload carried for the issuer (the DLU attaches the
         lookup request here).
+
+    The controller fills in ``location`` — the address's ``(bank, row,
+    column)`` — once, when it accepts the request, and the timing fields as
+    the request issues and completes.
     """
 
     op: MemoryOp
@@ -65,12 +69,13 @@ class MemoryRequest:
     bursts: int = 1
     callback: Optional[Callable[["MemoryRequest", int], None]] = None
     metadata: Any = None
-    request_id: int = field(default_factory=lambda: next(_request_ids))
+    request_id: int = field(default_factory=_request_ids.__next__)
 
     submit_ps: Optional[int] = None
     issue_ps: Optional[int] = None
     complete_ps: Optional[int] = None
     row_hit: Optional[bool] = None
+    location: Optional[Tuple[int, int, int]] = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         if self.address < 0:

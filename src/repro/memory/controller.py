@@ -53,25 +53,28 @@ class AddressMapping:
         self.scheme = scheme
         self._burst_bytes = geometry.burst_bytes
         self._bursts_per_row = geometry.bursts_per_row
+        self._banks = geometry.banks
+        self._rows = geometry.rows
+        self._burst_length = geometry.burst_length
+        self._bank_interleaved = scheme == "bank_interleaved"
 
     def decompose(self, address: int) -> Tuple[int, int, int]:
         """Return ``(bank, row, column)`` for a byte address."""
         if address < 0:
             raise ValueError("address must be non-negative")
-        geometry = self.geometry
         burst_index = address // self._burst_bytes
-        if self.scheme == "bank_interleaved":
-            bank = burst_index % geometry.banks
-            remaining = burst_index // geometry.banks
-            column_burst = remaining % self._bursts_per_row
-            row = (remaining // self._bursts_per_row) % geometry.rows
+        bursts_per_row = self._bursts_per_row
+        if self._bank_interleaved:
+            bank = burst_index % self._banks
+            remaining = burst_index // self._banks
+            column_burst = remaining % bursts_per_row
+            row = (remaining // bursts_per_row) % self._rows
         else:  # row_major
-            column_burst = burst_index % self._bursts_per_row
-            remaining = burst_index // self._bursts_per_row
-            row = remaining % geometry.rows
-            bank = (remaining // geometry.rows) % geometry.banks
-        column = column_burst * geometry.burst_length
-        return bank, row, column
+            column_burst = burst_index % bursts_per_row
+            remaining = burst_index // bursts_per_row
+            row = remaining % self._rows
+            bank = (remaining // self._rows) % self._banks
+        return bank, row, column_burst * self._burst_length
 
     def compose(self, bank: int, row: int, column: int) -> int:
         """Inverse of :meth:`decompose` (column must be burst aligned)."""
@@ -184,10 +187,11 @@ class DDR3Controller:
 
     def submit(self, request: MemoryRequest) -> bool:
         """Queue ``request``; returns ``False`` (and drops it) when full."""
-        if not self.can_accept():
+        if len(self._pending) >= self.queue_depth:
             self.stats.rejected += 1
             return False
-        request.submit_ps = self.sim.now
+        request.submit_ps = self.sim._now
+        request.location = self.mapping.decompose(request.address)
         self._pending.append(request)
         self._try_issue()
         return True
@@ -203,41 +207,42 @@ class DDR3Controller:
     def _pick_index(self) -> int:
         """Pick the next request: oldest row hit within the reorder window,
         falling back to the oldest request."""
-        window = self._pending[: self.reorder_window]
-        for i, request in enumerate(window):
-            bank, row, _ = self.mapping.decompose(request.address)
-            if self.device.open_row(bank) == row:
+        pending = self._pending
+        banks = self.device.banks
+        for i in range(min(len(pending), self.reorder_window)):
+            bank, row, _ = pending[i].location
+            if banks[bank].open_row == row:
                 return i
         return 0
 
     def _try_issue(self) -> None:
-        while self._pending and self._outstanding < self.max_outstanding:
-            index = self._pick_index()
-            request = self._pending.pop(index)
-            bank, row, column = self.mapping.decompose(request.address)
+        pending = self._pending
+        while pending and self._outstanding < self.max_outstanding:
+            request = pending.pop(self._pick_index() if len(pending) > 1 else 0)
+            bank, row, column = request.location
             result = self.device.access(
-                request.op, bank, row, column, now_ps=self.sim.now, bursts=request.bursts
+                request.op, bank, row, column, self.sim._now, request.bursts
             )
             request.issue_ps = result.cas_ps
-            request.complete_ps = result.complete_ps
-            request.row_hit = result.row_hit
-            if request.is_read:
-                self.stats.reads += 1
+            request.complete_ps = complete_ps = result.complete_ps
+            request.row_hit = row_hit = result.row_hit
+            stats = self.stats
+            if request.op is MemoryOp.READ:
+                stats.reads += 1
             else:
-                self.stats.writes += 1
-            if result.row_hit:
-                self.stats.row_hits += 1
+                stats.writes += 1
+            if row_hit:
+                stats.row_hits += 1
             else:
-                self.stats.row_misses += 1
+                stats.row_misses += 1
             self._outstanding += 1
-            self.sim.schedule_at(result.complete_ps, self._complete, request)
+            self.sim.schedule_at(complete_ps, self._complete, request)
 
     def _complete(self, request: MemoryRequest) -> None:
         self._outstanding -= 1
-        if request.submit_ps is not None and request.complete_ps is not None:
-            self.latency_stats.record(request.complete_ps - request.submit_ps)
+        self.latency_stats.record(request.complete_ps - request.submit_ps)
         if request.callback is not None:
-            request.callback(request, self.sim.now)
+            request.callback(request, self.sim._now)
         self._try_issue()
         for callback in self._drain_callbacks:
             callback()

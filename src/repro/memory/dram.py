@@ -18,17 +18,23 @@ effects the paper's architecture exploits and suffers from:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, List, Optional
+from typing import Deque, List, NamedTuple, Optional
 
 from repro.memory.bank import Bank
 from repro.memory.commands import Command, CommandType, MemoryOp
 from repro.memory.timing import DDR3Geometry, DDR3Timing
 
+_READ = MemoryOp.READ
 
-@dataclass
-class AccessResult:
-    """Timing of one reserved access (possibly multiple consecutive bursts)."""
+
+class AccessResult(NamedTuple):
+    """Timing of one reserved access (possibly multiple consecutive bursts).
+
+    The reservation records when each command issues; :attr:`commands`
+    spells them out as :class:`Command` records on demand.  Consecutive
+    bursts issue ``burst_spacing_ps`` apart (tCCD) and advance the column
+    by ``burst_columns`` (BL).
+    """
 
     op: MemoryOp
     bank: int
@@ -39,7 +45,42 @@ class AccessResult:
     data_start_ps: int
     data_end_ps: int
     complete_ps: int
-    commands: List[Command] = field(default_factory=list)
+    column: int
+    bursts: int
+    burst_spacing_ps: int
+    burst_columns: int
+    precharge_ps: Optional[int]
+    """PRECHARGE closing a conflicting row before the ACTIVATE (else ``None``)."""
+    activate_ps: Optional[int]
+    """ACTIVATE of ``row`` (``None`` on a row hit)."""
+    close_ps: Optional[int]
+    """Auto-precharge closing the row after the access (closed page only)."""
+
+    @property
+    def commands(self) -> List[Command]:
+        """The issued commands in order: [PRE], [ACT], one CAS per burst, [PRE]."""
+        bank = self.bank
+        commands: List[Command] = []
+        if self.precharge_ps is not None:
+            commands.append(Command(CommandType.PRECHARGE, bank, issue_ps=self.precharge_ps))
+        if self.activate_ps is not None:
+            commands.append(
+                Command(CommandType.ACTIVATE, bank, row=self.row, issue_ps=self.activate_ps)
+            )
+        cas_kind = CommandType.READ if self.op is _READ else CommandType.WRITE
+        for i in range(self.bursts):
+            commands.append(
+                Command(
+                    cas_kind,
+                    bank,
+                    row=self.row,
+                    column=self.column + i * self.burst_columns,
+                    issue_ps=self.cas_ps + i * self.burst_spacing_ps,
+                )
+            )
+        if self.close_ps is not None:
+            commands.append(Command(CommandType.PRECHARGE, bank, issue_ps=self.close_ps))
+        return commands
 
 
 class DDR3Device:
@@ -53,6 +94,9 @@ class DDR3Device:
         (closed-page); when ``False`` rows stay open until a conflict or a
         refresh closes them (open-page).
     refresh_enabled: model periodic REFRESH commands (tREFI / tRFC).
+
+    Every timing constraint is converted to picoseconds once, here; the
+    reservation path only adds and compares integers.
     """
 
     def __init__(
@@ -67,13 +111,31 @@ class DDR3Device:
         self.auto_precharge = auto_precharge
         self.refresh_enabled = refresh_enabled
 
+        ps = timing.ps
+        self._t_rc = ps(timing.t_rc)
+        self._t_rrd = ps(timing.t_rrd)
+        self._t_faw = ps(timing.t_faw)
+        self._t_ccd = ps(timing.t_ccd)
+        self._t_rp = ps(timing.t_rp)
+        self._t_rcd = ps(timing.t_rcd)
+        self._t_ras = ps(timing.t_ras)
+        self._t_rtp = ps(timing.t_rtp)
+        self._t_rfc = ps(timing.t_rfc)
+        self._t_refi = ps(timing.t_refi)
+        self._write_to_read = ps(timing.write_to_read)
+        self._read_to_write = ps(timing.read_to_write)
+        self._write_to_precharge = ps(timing.write_to_precharge)
+        self._read_latency = ps(timing.read_latency)
+        self._write_latency = ps(timing.write_latency)
+        self._burst = ps(timing.burst_cycles)
+
         self.banks = [Bank(index=i) for i in range(geometry.banks)]
         self._last_activate_any_ps = -(10**18)
         self._activate_window: Deque[int] = deque(maxlen=4)
         self._last_read_cas_ps = -(10**18)
         self._last_write_cas_ps = -(10**18)
         self._last_cas_ps = -(10**18)
-        self._next_refresh_ps = timing.ps(timing.t_refi) if refresh_enabled else None
+        self._next_refresh_ps = self._t_refi if refresh_enabled else None
 
         self.data_bus_busy_ps = 0
         self.first_activity_ps: Optional[int] = None
@@ -89,9 +151,6 @@ class DDR3Device:
     # Internal helpers
     # ------------------------------------------------------------------ #
 
-    def _t(self, cycles: int) -> int:
-        return self.timing.ps(cycles)
-
     def _maybe_refresh(self, now_ps: int) -> int:
         """Perform any overdue refreshes; returns the earliest time normal
         commands may resume."""
@@ -106,41 +165,16 @@ class DDR3Device:
                 self._next_refresh_ps,
                 max(bank.precharge_allowed_ps for bank in self.banks),
             )
-            end = start + self._t(self.timing.t_rfc)
+            end = start + self._t_rfc
             for bank in self.banks:
                 bank.open_row = None
                 bank.activate_allowed_ps = max(bank.activate_allowed_ps, end)
                 bank.cas_allowed_ps = max(bank.cas_allowed_ps, end)
                 bank.precharge_allowed_ps = max(bank.precharge_allowed_ps, end)
             self.refreshes += 1
-            self._next_refresh_ps += self._t(self.timing.t_refi)
+            self._next_refresh_ps += self._t_refi
             resume = end
         return resume
-
-    def _activate_constraints(self, bank: Bank, earliest: int) -> int:
-        """Earliest ACT time respecting tRRD, tFAW, tRC and bank state."""
-        t = max(earliest, bank.activate_allowed_ps)
-        t = max(t, bank.last_activate_ps + self._t(self.timing.t_rc))
-        t = max(t, self._last_activate_any_ps + self._t(self.timing.t_rrd))
-        if len(self._activate_window) == 4:
-            t = max(t, self._activate_window[0] + self._t(self.timing.t_faw))
-        return t
-
-    def _cas_constraints(self, op: MemoryOp, earliest: int) -> int:
-        """Earliest CAS time respecting tCCD and bus-turnaround rules."""
-        timing = self.timing
-        t = max(earliest, self._last_cas_ps + self._t(timing.t_ccd))
-        if op is MemoryOp.READ:
-            t = max(t, self._last_write_cas_ps + self._t(timing.write_to_read))
-        else:
-            t = max(t, self._last_read_cas_ps + self._t(timing.read_to_write))
-        return t
-
-    def _record_data_burst(self, start_ps: int, end_ps: int) -> None:
-        self.data_bus_busy_ps += end_ps - start_ps
-        if self.first_activity_ps is None:
-            self.first_activity_ps = start_ps
-        self.last_activity_ps = max(self.last_activity_ps, end_ps)
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -167,103 +201,139 @@ class DDR3Device:
         if bursts <= 0:
             raise ValueError("bursts must be positive")
 
-        timing = self.timing
         bank = self.banks[bank_index]
-        now_ps = self._maybe_refresh(now_ps)
+        next_refresh = self._next_refresh_ps
+        if next_refresh is not None and next_refresh <= now_ps:
+            now_ps = self._maybe_refresh(now_ps)
 
-        commands: List[Command] = []
-        kind = self.banks[bank_index].classify_access(row)
-        first_command_ps = now_ps
-
-        if kind == "hit":
+        open_row = bank.open_row
+        precharge_ps = activate_ps = None
+        if open_row == row:
             self.row_hits += 1
             bank.row_hits += 1
-            cas_earliest = max(now_ps, bank.cas_allowed_ps)
+            cas_earliest = bank.cas_allowed_ps
+            if now_ps > cas_earliest:
+                cas_earliest = now_ps
         else:
-            if kind == "conflict":
+            if open_row is not None:
                 self.row_conflicts += 1
                 bank.row_conflicts += 1
-                pre_ps = max(now_ps, bank.precharge_allowed_ps)
-                commands.append(Command(CommandType.PRECHARGE, bank_index, issue_ps=pre_ps))
-                bank.record_precharge(pre_ps)
-                act_earliest = pre_ps + self._t(timing.t_rp)
+                precharge_ps = bank.precharge_allowed_ps
+                if now_ps > precharge_ps:
+                    precharge_ps = now_ps
+                bank.open_row = None
+                bank.precharges += 1
+                act_ps = precharge_ps + self._t_rp
             else:
                 self.row_empty += 1
                 bank.row_empty += 1
-                act_earliest = now_ps
-            act_ps = self._activate_constraints(bank, act_earliest)
-            commands.append(Command(CommandType.ACTIVATE, bank_index, row=row, issue_ps=act_ps))
-            bank.record_activate(row, act_ps)
+                act_ps = now_ps
+            # tRC (same bank), tRRD (any bank) and tFAW (four-activate window).
+            if bank.activate_allowed_ps > act_ps:
+                act_ps = bank.activate_allowed_ps
+            floor = bank.last_activate_ps + self._t_rc
+            if floor > act_ps:
+                act_ps = floor
+            floor = self._last_activate_any_ps + self._t_rrd
+            if floor > act_ps:
+                act_ps = floor
+            window = self._activate_window
+            if len(window) == 4:
+                floor = window[0] + self._t_faw
+                if floor > act_ps:
+                    act_ps = floor
+            activate_ps = act_ps
+            bank.open_row = row
+            bank.last_activate_ps = act_ps
+            bank.activates += 1
             self._last_activate_any_ps = act_ps
-            self._activate_window.append(act_ps)
-            first_command_ps = commands[0].issue_ps
-            cas_earliest = act_ps + self._t(timing.t_rcd)
-            bank.cas_allowed_ps = max(bank.cas_allowed_ps, cas_earliest)
+            window.append(act_ps)
+            cas_earliest = act_ps + self._t_rcd
+            if cas_earliest > bank.cas_allowed_ps:
+                bank.cas_allowed_ps = cas_earliest
             # tRAS lower-bounds the following precharge.
-            bank.precharge_allowed_ps = max(
-                bank.precharge_allowed_ps, act_ps + self._t(timing.t_ras)
-            )
+            floor = act_ps + self._t_ras
+            if floor > bank.precharge_allowed_ps:
+                bank.precharge_allowed_ps = floor
 
-        cas_kind = CommandType.READ if op is MemoryOp.READ else CommandType.WRITE
-        data_latency = timing.read_latency if op is MemoryOp.READ else timing.write_latency
-        burst_ps = self._t(timing.burst_cycles)
-
-        cas_times: List[int] = []
-        cas_ps = self._cas_constraints(op, max(cas_earliest, bank.cas_allowed_ps))
-        for i in range(bursts):
-            if i:
-                cas_ps = self._cas_constraints(op, cas_ps + self._t(timing.t_ccd))
-            commands.append(
-                Command(cas_kind, bank_index, row=row, column=column + i * timing.bl, issue_ps=cas_ps)
-            )
-            cas_times.append(cas_ps)
-            data_start = cas_ps + self._t(data_latency)
-            self._record_data_burst(data_start, data_start + burst_ps)
-
-        first_cas_ps = cas_times[0]
-        last_cas_ps = cas_times[-1]
-        if not commands or commands[0].issue_ps > first_cas_ps:
-            first_command_ps = first_cas_ps
+        # tCCD after the last CAS, and the bus turnaround after the last CAS
+        # of the other direction.  Later bursts follow tCCD apart.
+        if bank.cas_allowed_ps > cas_earliest:
+            cas_earliest = bank.cas_allowed_ps
+        t_ccd = self._t_ccd
+        is_read = op is _READ
+        if is_read:
+            latency = self._read_latency
+            floor = self._last_write_cas_ps + self._write_to_read
         else:
-            first_command_ps = commands[0].issue_ps
+            latency = self._write_latency
+            floor = self._last_read_cas_ps + self._read_to_write
+        first_cas_ps = self._last_cas_ps + t_ccd
+        if floor > first_cas_ps:
+            first_cas_ps = floor
+        if cas_earliest > first_cas_ps:
+            first_cas_ps = cas_earliest
+        last_cas_ps = first_cas_ps + (bursts - 1) * t_ccd
 
-        data_start_ps = first_cas_ps + self._t(data_latency)
-        data_end_ps = last_cas_ps + self._t(data_latency) + burst_ps
+        data_start_ps = first_cas_ps + latency
+        data_end_ps = last_cas_ps + latency + self._burst
+        self.data_bus_busy_ps += bursts * self._burst
+        if self.first_activity_ps is None:
+            self.first_activity_ps = data_start_ps
+        if data_end_ps > self.last_activity_ps:
+            self.last_activity_ps = data_end_ps
+
+        if precharge_ps is not None:
+            first_command_ps = precharge_ps
+        elif activate_ps is not None:
+            first_command_ps = activate_ps
+        else:
+            first_command_ps = first_cas_ps
+        if first_command_ps > first_cas_ps:
+            first_command_ps = first_cas_ps
 
         # Update global CAS trackers.
         self._last_cas_ps = last_cas_ps
-        if op is MemoryOp.READ:
+        if is_read:
             self._last_read_cas_ps = last_cas_ps
             self.reads += bursts
-            bank.precharge_allowed_ps = max(
-                bank.precharge_allowed_ps, last_cas_ps + self._t(timing.t_rtp)
-            )
+            floor = last_cas_ps + self._t_rtp
         else:
             self._last_write_cas_ps = last_cas_ps
             self.writes += bursts
-            bank.precharge_allowed_ps = max(
-                bank.precharge_allowed_ps, last_cas_ps + self._t(timing.write_to_precharge)
-            )
-        bank.cas_allowed_ps = max(bank.cas_allowed_ps, last_cas_ps + self._t(timing.t_ccd))
+            floor = last_cas_ps + self._write_to_precharge
+        if floor > bank.precharge_allowed_ps:
+            bank.precharge_allowed_ps = floor
+        floor = last_cas_ps + t_ccd
+        if floor > bank.cas_allowed_ps:
+            bank.cas_allowed_ps = floor
 
+        close_ps = None
         if self.auto_precharge:
-            pre_ps = bank.precharge_allowed_ps
-            commands.append(Command(CommandType.PRECHARGE, bank_index, issue_ps=pre_ps))
-            bank.record_precharge(pre_ps)
-            bank.activate_allowed_ps = max(bank.activate_allowed_ps, pre_ps + self._t(timing.t_rp))
+            close_ps = bank.precharge_allowed_ps
+            bank.open_row = None
+            bank.precharges += 1
+            floor = close_ps + self._t_rp
+            if floor > bank.activate_allowed_ps:
+                bank.activate_allowed_ps = floor
 
-        complete_ps = data_end_ps
         return AccessResult(
-            op=op,
-            bank=bank_index,
-            row=row,
-            row_hit=(kind == "hit"),
-            first_command_ps=first_command_ps,
-            cas_ps=first_cas_ps,
-            data_start_ps=data_start_ps,
-            data_end_ps=data_end_ps,
-            complete_ps=complete_ps,
-            commands=commands,
+            op,
+            bank_index,
+            row,
+            activate_ps is None,
+            first_command_ps,
+            first_cas_ps,
+            data_start_ps,
+            data_end_ps,
+            data_end_ps,
+            column,
+            bursts,
+            t_ccd,
+            self.timing.bl,
+            precharge_ps,
+            activate_ps,
+            close_ps,
         )
 
     # ------------------------------------------------------------------ #

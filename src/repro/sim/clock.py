@@ -9,7 +9,7 @@ aligns arbitrary times to clock edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 PS_PER_SECOND = 1_000_000_000_000
 
@@ -28,15 +28,14 @@ class Clock:
 
     freq_hz: float
     name: str = "clk"
+    period_ps: int = field(init=False, repr=False, compare=False)
+    """Clock period in picoseconds, rounded to the nearest integer (resolved
+    once, at construction)."""
 
     def __post_init__(self) -> None:
         if self.freq_hz <= 0:
             raise ValueError(f"clock frequency must be positive, got {self.freq_hz}")
-
-    @property
-    def period_ps(self) -> int:
-        """Clock period in picoseconds, rounded to the nearest integer."""
-        return max(1, round(PS_PER_SECOND / self.freq_hz))
+        object.__setattr__(self, "period_ps", max(1, round(PS_PER_SECOND / self.freq_hz)))
 
     @property
     def freq_mhz(self) -> float:

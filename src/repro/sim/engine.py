@@ -2,27 +2,31 @@
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 
-@dataclass(order=True)
 class Event:
-    """A scheduled callback.
+    """A scheduled callback, and the handle that cancels it.
 
-    Events are ordered by ``(time_ps, priority, sequence)``.  The sequence
+    The simulator orders events by ``(time_ps, priority, sequence)``: its
+    heap holds ``(time_ps, priority, sequence, event)`` tuples, so the
+    ordering is compared in C and never reaches the event.  The sequence
     number guarantees FIFO ordering between events scheduled for the same
     instant with the same priority, which keeps the simulation deterministic.
     """
 
-    time_ps: int
-    priority: int
-    sequence: int
-    callback: Callable[..., None] = field(compare=False)
-    args: tuple = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
+    __slots__ = ("time_ps", "callback", "args", "cancelled")
+
+    def __init__(self, time_ps: int, callback: Callable[..., None], args: tuple = ()) -> None:
+        self.time_ps = time_ps
+        self.callback = callback
+        self.args = args
+        self.cancelled = False
+
+    def __repr__(self) -> str:
+        return f"Event(time_ps={self.time_ps}, cancelled={self.cancelled})"
 
     def cancel(self) -> None:
         """Mark the event as cancelled; it will be skipped when popped."""
@@ -51,7 +55,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now: int = 0
-        self._queue: list[Event] = []
+        self._queue: list[tuple[int, int, int, Event]] = []
         self._sequence = itertools.count()
         self._events_executed = 0
 
@@ -87,14 +91,9 @@ class Simulator:
             raise ValueError(
                 f"cannot schedule event in the past: {time_ps} < now {self._now}"
             )
-        event = Event(
-            time_ps=int(time_ps),
-            priority=priority,
-            sequence=next(self._sequence),
-            callback=callback,
-            args=args,
-        )
-        heapq.heappush(self._queue, event)
+        time_ps = int(time_ps)
+        event = Event(time_ps, callback, args)
+        heappush(self._queue, (time_ps, priority, next(self._sequence), event))
         return event
 
     def schedule(
@@ -107,7 +106,10 @@ class Simulator:
         """Schedule ``callback(*args)`` after a relative delay in picoseconds."""
         if delay_ps < 0:
             raise ValueError(f"delay must be non-negative, got {delay_ps}")
-        return self.schedule_at(self._now + int(delay_ps), callback, *args, priority=priority)
+        time_ps = self._now + int(delay_ps)
+        event = Event(time_ps, callback, args)
+        heappush(self._queue, (time_ps, priority, next(self._sequence), event))
+        return event
 
     def run(self, until_ps: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Run until the event queue drains, ``until_ps`` is reached, or
@@ -117,32 +119,36 @@ class Simulator:
         is given and the queue still holds later events, simulation time is
         advanced exactly to ``until_ps``.
         """
+        queue = self._queue
+        bounded = until_ps is not None or max_events is not None
         executed = 0
-        while self._queue:
-            event = self._queue[0]
-            if until_ps is not None and event.time_ps > until_ps:
-                self._now = max(self._now, until_ps)
-                return executed
-            if max_events is not None and executed >= max_events:
-                return executed
-            heapq.heappop(self._queue)
+        while queue:
+            if bounded:
+                if until_ps is not None and queue[0][0] > until_ps:
+                    if until_ps > self._now:
+                        self._now = until_ps
+                    return executed
+                if max_events is not None and executed >= max_events:
+                    return executed
+            time_ps, _, _, event = heappop(queue)
             if event.cancelled:
                 continue
-            self._now = event.time_ps
+            self._now = time_ps
             event.callback(*event.args)
             self._events_executed += 1
             executed += 1
-        if until_ps is not None:
-            self._now = max(self._now, until_ps)
+        if until_ps is not None and until_ps > self._now:
+            self._now = until_ps
         return executed
 
     def step(self) -> bool:
         """Execute exactly one (non-cancelled) event.  Returns ``False`` when idle."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
+        queue = self._queue
+        while queue:
+            time_ps, _, _, event = heappop(queue)
             if event.cancelled:
                 continue
-            self._now = event.time_ps
+            self._now = time_ps
             event.callback(*event.args)
             self._events_executed += 1
             return True
@@ -150,6 +156,7 @@ class Simulator:
 
     def peek_next_time(self) -> Optional[int]:
         """Timestamp of the next pending event, or ``None`` when idle."""
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0].time_ps if self._queue else None
+        queue = self._queue
+        while queue and queue[0][3].cancelled:
+            heappop(queue)
+        return queue[0][0] if queue else None

@@ -98,8 +98,10 @@ class RunningStats:
         delta = value - self._mean
         self._mean += delta / self.count
         self._m2 += delta * (value - self._mean)
-        self.minimum = min(self.minimum, value)
-        self.maximum = max(self.maximum, value)
+        if value < self.minimum:
+            self.minimum = value
+        if value > self.maximum:
+            self.maximum = value
 
     @property
     def mean(self) -> float:
