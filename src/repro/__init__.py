@@ -53,7 +53,7 @@ Quick start::
 
 from repro.cluster import ClusterCoordinator, ClusterNode, HashRing
 from repro.core.config import FlowLUTConfig, PROTOTYPE_CONFIG, small_test_config
-from repro.core.flow_lut import FlowLUT, LookupOutcome
+from repro.core.flow_lut import FlowLUT, FlowTable, LookupOutcome
 from repro.core.flow_state import FlowRecord, FlowStateTable
 from repro.core.harness import DescriptorSource, ExperimentResult, run_lookup_experiment
 from repro.core.hash_cam import HashCamTable, LookupStage
@@ -86,6 +86,7 @@ __all__ = [
     "FlowLUTConfig",
     "FlowRecord",
     "FlowStateTable",
+    "FlowTable",
     "HashCamTable",
     "HashRing",
     "IngestExecutor",

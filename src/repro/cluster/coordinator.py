@@ -598,8 +598,10 @@ class ClusterCoordinator:
             if self.obs is not None:
                 self._obs_replicated.inc(len(rows))
 
-    def run_housekeeping(self, now_ps: Optional[int] = None) -> int:
+    def run_housekeeping(self, now_ps: int) -> int:
         """One flow-aging pass across every alive node; returns removals.
+
+        ``now_ps`` is the workload clock (the latest descriptor timestamp).
 
         With replication on, the expired flows' replica copies are purged
         from every backup store in the same pass — an expired flow has

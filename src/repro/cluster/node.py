@@ -1,8 +1,9 @@
 """One measurement node of the simulated cluster.
 
 A :class:`ClusterNode` is what one rack slot runs: a
-:class:`~repro.engine.sharded.ShardedFlowLUT` (one or more timed Flow LUT
-devices) with per-shard flow state attached, and — unless disabled — a
+:class:`~repro.engine.sharded.ShardedFlowLUT` (one or more functional
+:class:`~repro.core.flow_lut.FlowTable` shards) with per-shard flow state
+attached, and — unless disabled — a
 :class:`~repro.telemetry.TelemetryPipeline` riding the merged outcome
 batches so the node summarises its slice of the traffic in mergeable
 sketches.  The coordinator steers descriptor batches to nodes via the hash
@@ -32,8 +33,8 @@ class ClusterNode:
     ----------
     node_id: the node's ring identity (stable across the node's life).
     config: per-shard Flow LUT configuration.
-    shards: Flow LUT devices inside this node (the PR-2 scale-up axis; the
-        cluster is the scale-out axis on top of it).
+    shards: flow tables inside this node (the scale-up axis; the cluster
+        is the scale-out axis on top of it).
     telemetry: build a per-node telemetry pipeline fed by the engine's
         outcome batches.  All nodes of a cluster share ``telemetry_config``
         and ``telemetry_seed`` so their pipelines are mergeable.
@@ -128,12 +129,9 @@ class ClusterNode:
         parallel executor uses this to give each worker a private recorder."""
         return self.engine.set_span_recorder(spans)
 
-    def preload(self, keys) -> int:
-        return self.engine.preload(keys)
-
     def run_housekeeping(
         self,
-        now_ps: Optional[int] = None,
+        now_ps: int,
         expired_out: Optional[List[Tuple[bytes, FlowRecord]]] = None,
     ) -> int:
         """One aging pass; expired flows also feed the flow-size sketches.
@@ -185,10 +183,6 @@ class ClusterNode:
     # Flow-state migration
     # ------------------------------------------------------------------ #
 
-    def live_records(self) -> List[FlowRecord]:
-        """Snapshot of every live flow record on this node."""
-        return list(self.engine.flow_records())
-
     @property
     def active_flows(self) -> int:
         return self.engine.active_flows
@@ -203,9 +197,9 @@ class ClusterNode:
         packing — the same bytes the ring steers on), so the caller can
         re-home each flow on the ring owner of exactly that identity.  The
         records are detached (not exported — the flows are moving, not
-        terminating) and their table entries deleted, so this node stops
-        claiming them; the caller re-homes them with :meth:`absorb_flows`
-        on the new owner.
+        terminating) and their table entries deleted (functionally: the
+        shards model no DRAM write), so this node stops claiming them; the
+        caller re-homes them with :meth:`absorb_flows` on the new owner.
         """
         extracted: List[Tuple[bytes, FlowRecord]] = []
         for shard in self.engine.shards:
@@ -227,7 +221,6 @@ class ClusterNode:
             self.flows_migrated_out += len(extracted)
             if self.obs is not None:
                 self._obs_moved["out"].inc(len(extracted))
-            self.engine.drain()  # retire the deletion writes before handoff
         return extracted
 
     def absorb_flows(self, flows: Sequence[Tuple[bytes, FlowRecord]]) -> Tuple[int, int]:

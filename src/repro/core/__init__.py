@@ -19,7 +19,7 @@ Module map (paper figure → module):
 
 from repro.core.config import FlowLUTConfig
 from repro.core.fid_gen import FlowIDGenerator
-from repro.core.flow_lut import FlowLUT, LookupOutcome
+from repro.core.flow_lut import FlowLUT, FlowTable, LookupOutcome
 from repro.core.flow_match import FlowMatch, MatchResult
 from repro.core.flow_state import FlowRecord, FlowStateTable
 from repro.core.hash_cam import HashCamTable, LookupStage
@@ -36,6 +36,7 @@ __all__ = [
     "FlowMatch",
     "FlowRecord",
     "FlowStateTable",
+    "FlowTable",
     "HashCamTable",
     "LoadBalancePolicy",
     "LookupOutcome",

@@ -1,7 +1,13 @@
-"""The dual-path Flow LUT (paper Figure 2) — the timed top-level model.
+"""The dual-path Flow LUT (paper Figure 2): a functional table and the timed device.
 
-A descriptor entering the Flow LUT goes through the following stages, each
-charged with realistic time by the event-driven simulator:
+:class:`FlowTable` is the functional half: the Hash-CAM table, the live-key
+map, the optional per-flow state, the totals and the bulk probe
+(:meth:`FlowTable.process_block`), with no simulated clock.  The engine and
+cluster tiers hold one per shard.
+
+:class:`FlowLUT` is the paper's device, built on that table.  A descriptor
+entering it goes through the following stages, each charged with realistic
+time by the event-driven simulator:
 
 1. The **sequencer / load balancer** picks the first lookup path (A or B) and
    dispatches at most one descriptor per path per 200 MHz system cycle.
@@ -23,7 +29,7 @@ charged with realistic time by the event-driven simulator:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.config import FlowLUTConfig
@@ -76,153 +82,45 @@ class LookupOutcome:
         return self.latency_ps / 1000.0
 
 
-# The first-lookup paths still free this cycle, indexed by the bit mask of
-# paths (bit 0 = A, bit 1 = B) that already took a descriptor.
-_AVAILABLE = (frozenset((0, 1)), frozenset((1,)), frozenset((0,)), frozenset())
 
+class FlowTable:
+    """The functional Flow LUT: the table the engine and cluster tiers run.
 
-class FlowLUT:
-    """The timed dual-path flow lookup table.
+    It holds what the device's lookups resolve against — the Hash-CAM
+    table, the live-key map and the optional flow-state table — plus the
+    totals and the bulk probe's steady-state clock, and none of the timed
+    machinery: no simulator, no DLUs or DDR3 controllers, no Update blocks.
+    Installs, deletions and housekeeping are functional; a deletion queues
+    no DRAM write.  :class:`FlowLUT` is the paper's device built on it.
 
     Parameters
     ----------
     config: architecture configuration; defaults to the paper's prototype.
-    sim: an existing simulator to share (a new one is created otherwise).
-    on_result: optional callback invoked with every :class:`LookupOutcome`.
-    flow_state: optional per-flow state table (attached by the NetFlow /
-        traffic-analyzer applications).
-    input_queue_depth: descriptor FIFO in front of the sequencer.
+    flow_state: optional per-flow state table.
     """
 
     def __init__(
         self,
         config: Optional[FlowLUTConfig] = None,
-        sim: Optional[Simulator] = None,
-        on_result: Optional[Callable[[LookupOutcome], None]] = None,
         flow_state: Optional[FlowStateTable] = None,
-        input_queue_depth: int = 32,
     ) -> None:
         self.config = config or FlowLUTConfig()
-        self.sim = sim or Simulator()
-        self.on_result = on_result
         self.flow_state = flow_state
-
-        cfg = self.config
-        self.clock = Clock(cfg.system_clock_hz, name="flow_lut_sys")
-        self._sys_period = cfg.system_clock_period_ps
-        self._bucket_stride = cfg.bursts_per_bucket * cfg.geometry.burst_bytes
-
-        self.table = HashCamTable(cfg)
-        self.sequencer = Sequencer(
-            policy=cfg.load_balance_policy,
-            path_a_fraction=cfg.path_a_fraction,
-            seed=cfg.seed,
-        )
-
-        self.controllers: List[DDR3Controller] = []
-        self.dlus: List[DataLookupUnit] = []
-        self.flow_matches: List[FlowMatch] = []
-        self.updates: List[UpdateBlock] = []
-        for path, label in enumerate("ab"):
-            controller = DDR3Controller(
-                sim=self.sim,
-                timing=cfg.timing,
-                geometry=cfg.geometry,
-                mapping=AddressMapping(cfg.geometry, cfg.mapping_scheme),
-                page_policy=cfg.page_policy,
-                queue_depth=cfg.controller_queue_depth,
-                max_outstanding=cfg.controller_max_outstanding,
-                refresh_enabled=cfg.refresh_enabled,
-                name=f"ddr3_{label}",
-            )
-            dlu = DataLookupUnit(
-                sim=self.sim,
-                config=cfg,
-                controller=controller,
-                on_bucket_data=self._on_bucket_data,
-                name=f"dlu_{label}",
-            )
-            dlu.on_lu1_drain(self._schedule_dispatch)
-            self.controllers.append(controller)
-            self.dlus.append(dlu)
-            self.flow_matches.append(FlowMatch(name=f"flow_match_{label}"))
-            self.updates.append(UpdateBlock(self.sim, cfg, dlu, name=f"updt_{label}"))
-
-        if input_queue_depth <= 0:
-            raise ValueError(f"input_queue_depth must be positive, got {input_queue_depth}")
-        # The descriptor FIFO in front of the sequencer.
-        self._input: Deque[LookupJob] = deque()
-        self._input_depth = input_queue_depth
-        self._dispatch_scheduled = False
-        self._in_dispatch = False
-
-        self.results: List[LookupOutcome] = []
+        self._sys_period = self.config.system_clock_period_ps
+        self.table = HashCamTable(self.config)
         self.submitted = 0
         self.completed = 0
         self.hits = 0
         self.misses = 0
         self.new_flows = 0
         self.insert_failures = 0
-        self.rate = RateMeter(name="flow_lut_rate")
-        self.latency = RunningStats(name="lookup_latency_ps")
         self._first_submit_ps: Optional[int] = None
         self._last_complete_ps: int = 0
         self._live_keys: Dict[int, bytes] = {}
 
     # ------------------------------------------------------------------ #
-    # Address helpers
+    # Installs and the columnar bulk probe
     # ------------------------------------------------------------------ #
-
-    def _bucket_address(self, bucket: int) -> int:
-        return bucket * self._bucket_stride
-
-    # ------------------------------------------------------------------ #
-    # Submission and warm-up
-    # ------------------------------------------------------------------ #
-
-    def can_accept(self) -> bool:
-        return len(self._input) < self._input_depth
-
-    def submit(self, descriptor) -> bool:
-        """Offer one descriptor; returns ``False`` when the input FIFO is full.
-
-        ``descriptor`` is normally a :class:`~repro.net.parser.PacketDescriptor`;
-        any object with ``key_bytes`` works, and an optional ``bucket_indices``
-        attribute overrides the hash computation (used by the Table II-A hash
-        pattern experiments).
-        """
-        if len(self._input) >= self._input_depth:
-            return False
-        key = descriptor.key_bytes
-        indices = getattr(descriptor, "bucket_indices", None)
-        if indices is None:
-            index1, index2 = self.table.hash_indices(key)
-        else:
-            index1, index2 = indices
-            index1 %= self.table.buckets_per_memory
-            index2 %= self.table.buckets_per_memory
-        now = self.sim._now
-        job = LookupJob(descriptor, key, index1, index2, now)
-        job.preferred_path = self.sequencer.preferred_path(index1)
-        self._input.append(job)
-        self.submitted += 1
-        if self._first_submit_ps is None:
-            self._first_submit_ps = now
-        self._schedule_dispatch()
-        return True
-
-    def submit_blocking(self, descriptor, retry_cycles: int = 8) -> None:
-        """Submit one descriptor, riding out input-FIFO backpressure.
-
-        Whenever the FIFO is full the simulator runs for ``retry_cycles``
-        system-clock cycles to let in-flight lookups retire, then the offer
-        is retried.  The engine's batch drivers share this policy; the
-        packet-level paths (:class:`~repro.analyzer.flow_processor.FlowProcessor`)
-        apply the same 8-cycle quantum around their own per-packet accounting.
-        """
-        retry_ps = self.config.system_clock_period_ps * retry_cycles
-        while not self.submit(descriptor):
-            self.sim.run(until_ps=self.sim.now + retry_ps)
 
     def preload(self, keys) -> int:
         """Populate the table functionally (no simulated time).
@@ -241,29 +139,26 @@ class FlowLUT:
                     self._live_keys[result.flow_id] = key_bytes
         return inserted
 
-    # ------------------------------------------------------------------ #
-    # Columnar bulk probe
-    # ------------------------------------------------------------------ #
-
     def process_block(self, block, hash_columns=None):
         """Bulk-probe every row of a :class:`~repro.columns.DescriptorBlock`.
 
         The *functional* hot path: rows resolve strictly in order against
         the same three-stage table the timed path uses (CAM first, then
         each memory's bucket), and misses insert exactly as
-        :meth:`_handle_full_miss` does — so totals, flow state, live keys
-        and table contents match a ``submit_blocking``/``drain`` loop over
-        the same descriptors.  What it skips is the cycle-accurate
-        machinery: per-descriptor FIFO/DLU/DRAM events, the rate/latency
-        meters, ``self.results`` and the ``on_result`` callback.
-        Completion times follow the sequencer's steady-state envelope (two
-        dispatches per system cycle), advancing ``elapsed_ps`` the way a
-        saturated timed run would.
+        :meth:`FlowLUT._handle_full_miss` does — so totals, flow state, live
+        keys and table contents match a timed :class:`FlowLUT`'s
+        ``submit_blocking``/``drain`` loop over the same descriptors.  What
+        it skips is the cycle-accurate machinery: per-descriptor
+        FIFO/DLU/DRAM events, the rate/latency meters, ``results`` and the
+        ``on_result`` callback.  Completion times follow the sequencer's
+        steady-state envelope (two dispatches per system cycle) from the
+        table's own clock, the last completion, advancing ``elapsed_ps``
+        the way a saturated timed run would.
 
         Each row is touched once.  Once per block: the keys are sliced,
         the length / timestamp / flag columns and the two bucket-index
         columns become Python lists, and the CAM's ``searches`` / ``hits``
-        and this device's totals are credited.  Per row: one CAM probe,
+        and this table's totals are credited.  Per row: one CAM probe,
         at most two bucket scans, and — having missed all three — a direct
         :meth:`HashCamTable._place` (no second search; the miss is credited
         as :meth:`HashCamTable.insert` would).  Flow state gets the engine
@@ -296,7 +191,7 @@ class FlowLUT:
                 f"hash_columns have {len(index1s)} and {len(index2s)} rows, block has {count}"
             )
 
-        base = max(self._last_complete_ps, self.sim.now)
+        base = self._last_complete_ps
         period = self._sys_period
         if count and self._first_submit_ps is None:
             self._first_submit_ps = base
@@ -407,6 +302,322 @@ class FlowLUT:
             array("q", [base]) * count,
             array("q", (base + (i // 2 + 1) * period for i in range(count))),
         )
+
+    # ------------------------------------------------------------------ #
+    # Live flows and migration
+    # ------------------------------------------------------------------ #
+
+    def live_key(self, flow_id: int) -> Optional[bytes]:
+        """The table's key bytes for a live flow ID (None if unknown).
+
+        This is the *engine* representation of the flow identity — the
+        descriptor extractor's field packing, which is not necessarily
+        :meth:`FlowKey.pack` order — so migration can delete and re-insert
+        exactly the bytes the table stores.
+        """
+        return self._live_keys.get(flow_id)
+
+    def live_items(self) -> List[Tuple[int, bytes]]:
+        """Every live ``(flow_id, key_bytes)`` pair, sorted by flow ID.
+
+        This is the table's live-key map — the engine-side flow identities
+        a snapshot must carry so a warm restart can re-install exactly the
+        keys the table held (:mod:`repro.persist`).
+        """
+        return sorted(self._live_keys.items())
+
+    def live_flow_pairs(self) -> List[Tuple[bytes, Optional["FlowRecord"]]]:
+        """Every live ``(key_bytes, record)`` pair of this table.
+
+        The live-key map joined with the flow-state table: keys installed
+        without state (:meth:`preload`, or no table attached) appear with
+        a ``None`` record.  This is the single definition of "what a
+        snapshot must capture" — the sharded engine and the persist codecs
+        both build on it.
+        """
+        return [
+            (key_bytes, self.flow_state.get(flow_id) if self.flow_state is not None else None)
+            for flow_id, key_bytes in self.live_items()
+        ]
+
+    def live_packet_counts(self) -> Dict[bytes, int]:
+        """``{key_bytes: packets}`` for every live flow that has a record.
+
+        The cheap counterpart of :meth:`live_flow_pairs` for a reader that
+        wants only the cumulative packet counts (the control loop's per-window
+        marks): one unsorted pass over the live-key map joined with flow
+        state.  Keys without a record (preloaded, or no table attached) are
+        left out.
+        """
+        if self.flow_state is None:
+            return {}
+        get = self.flow_state.get
+        return {
+            key_bytes: record.packets
+            for flow_id, key_bytes in self._live_keys.items()
+            if (record := get(flow_id)) is not None
+        }
+
+    def restore_flow(self, record, key_bytes: Optional[bytes] = None) -> bool:
+        """Re-home a migrated flow: functional insert plus state adoption.
+
+        The cluster layer moves live flows between nodes when the ring
+        changes.  Like :meth:`preload` this is functional (no simulated
+        time): the key is inserted into the table, registered as live, and —
+        when a flow-state table is attached — the record is adopted under
+        the location-derived flow ID the new placement yields, keeping its
+        accumulated packet/byte counters.  ``key_bytes`` must be the engine
+        key the old owner's table stored (see :meth:`live_key`); it defaults
+        to the standard 5-tuple packing for callers outside the migration
+        path.  If the key already lives here (e.g. a packet of the flow
+        arrived before its state did), the migrated counters are folded into
+        the existing record.  Returns ``False`` only when the table cannot
+        place the key (overflow), in which case the caller must account the
+        flow as lost.
+        """
+        if key_bytes is None:
+            key_bytes = record.key.pack()
+        result = self.table.insert(key_bytes)
+        if result.already_present:
+            if self.flow_state is not None and result.flow_id is not None:
+                existing = self.flow_state.get(result.flow_id)
+                if existing is None:
+                    self.flow_state.adopt(result.flow_id, record)
+                else:
+                    self.flow_state.fold(result.flow_id, record)
+            return True
+        if not result.inserted:
+            return False
+        if result.flow_id is not None:
+            self._live_keys[result.flow_id] = key_bytes
+            if self.flow_state is not None:
+                self.flow_state.adopt(result.flow_id, record)
+        return True
+
+    # ------------------------------------------------------------------ #
+    # Deletion and housekeeping
+    # ------------------------------------------------------------------ #
+
+    def delete_flow(self, key_bytes: bytes) -> bool:
+        """Remove a flow entry; returns whether the key was in the table."""
+        return self._remove(key_bytes) is not None
+
+    def _remove(self, key_bytes: bytes):
+        """Delete ``key_bytes`` from the table and the live-key map; returns
+        where it lived (a :class:`~repro.core.hash_cam.LookupResult`), or
+        ``None`` when it was not there."""
+        indices = self.table.hash_indices(key_bytes)
+        location = self.table.lookup(key_bytes, indices=indices)
+        if not location.found:
+            return None
+        self.table.delete(key_bytes, indices=indices)
+        if location.flow_id is not None:
+            self._live_keys.pop(location.flow_id, None)
+        return location
+
+    def run_housekeeping(
+        self,
+        now_ps: int,
+        expired_out: Optional[List[Tuple[bytes, "FlowRecord"]]] = None,
+    ) -> int:
+        """One housekeeping pass: expire idle flows and delete their entries.
+
+        ``now_ps`` is the workload clock (the latest descriptor timestamp):
+        record idle times are measured in descriptor timestamps.  Requires
+        an attached flow-state table.  Returns the number of flows removed.
+        When ``expired_out`` is given, every expired flow's ``(key_bytes,
+        record)`` pair is appended to it — the cluster layer uses this to
+        purge replica copies of flows that have ended, so a later failover
+        cannot resurrect them.
+        """
+        if self.flow_state is None:
+            return 0
+        expired = self.flow_state.expire(now_ps)
+        removed = 0
+        for record in expired:
+            key_bytes = self._live_keys.get(record.flow_id)
+            if key_bytes is None:
+                continue
+            if expired_out is not None:
+                expired_out.append((key_bytes, record))
+            if self.delete_flow(key_bytes):
+                removed += 1
+        return removed
+
+    # ------------------------------------------------------------------ #
+    # Reporting
+    # ------------------------------------------------------------------ #
+
+    @property
+    def elapsed_ps(self) -> int:
+        """First submission to last completion."""
+        if self._first_submit_ps is None:
+            return 0
+        return max(0, self._last_complete_ps - self._first_submit_ps)
+
+    @property
+    def throughput_mdesc_s(self) -> float:
+        """Average processing rate in million descriptors per second."""
+        elapsed = self.elapsed_ps
+        if elapsed <= 0:
+            return 0.0
+        return self.completed * 1e6 / elapsed
+
+    @property
+    def miss_rate(self) -> float:
+        return self.misses / self.completed if self.completed else 0.0
+
+    def report(self) -> dict:
+        return {
+            "config": self.config.summary(),
+            "submitted": self.submitted,
+            "completed": self.completed,
+            "hits": self.hits,
+            "misses": self.misses,
+            "new_flows": self.new_flows,
+            "insert_failures": self.insert_failures,
+            "miss_rate": self.miss_rate,
+            "throughput_mdesc_s": self.throughput_mdesc_s,
+            "table": self.table.stats(),
+        }
+
+
+# The first-lookup paths still free this cycle, indexed by the bit mask of
+# paths (bit 0 = A, bit 1 = B) that already took a descriptor.
+_AVAILABLE = (frozenset((0, 1)), frozenset((1,)), frozenset((0,)), frozenset())
+
+
+class FlowLUT(FlowTable):
+    """The timed dual-path flow lookup table: the paper's device.
+
+    A :class:`FlowTable` plus the sequencer, two DLUs on two DDR3
+    controllers, the Flow Match blocks and the Update blocks, all driven by
+    one event-driven simulator.
+
+    Parameters
+    ----------
+    config: architecture configuration; defaults to the paper's prototype.
+    sim: an existing simulator to share (a new one is created otherwise).
+    on_result: optional callback invoked with every :class:`LookupOutcome`.
+    flow_state: optional per-flow state table (attached by the NetFlow /
+        traffic-analyzer applications).
+    input_queue_depth: descriptor FIFO in front of the sequencer.
+    """
+
+    def __init__(
+        self,
+        config: Optional[FlowLUTConfig] = None,
+        sim: Optional[Simulator] = None,
+        on_result: Optional[Callable[[LookupOutcome], None]] = None,
+        flow_state: Optional[FlowStateTable] = None,
+        input_queue_depth: int = 32,
+    ) -> None:
+        super().__init__(config, flow_state)
+        self.sim = sim or Simulator()
+        self.on_result = on_result
+
+        cfg = self.config
+        self.clock = Clock(cfg.system_clock_hz, name="flow_lut_sys")
+        self._bucket_stride = cfg.bursts_per_bucket * cfg.geometry.burst_bytes
+
+        self.sequencer = Sequencer(
+            policy=cfg.load_balance_policy,
+            path_a_fraction=cfg.path_a_fraction,
+            seed=cfg.seed,
+        )
+
+        self.controllers: List[DDR3Controller] = []
+        self.dlus: List[DataLookupUnit] = []
+        self.flow_matches: List[FlowMatch] = []
+        self.updates: List[UpdateBlock] = []
+        for path, label in enumerate("ab"):
+            controller = DDR3Controller(
+                sim=self.sim,
+                timing=cfg.timing,
+                geometry=cfg.geometry,
+                mapping=AddressMapping(cfg.geometry, cfg.mapping_scheme),
+                page_policy=cfg.page_policy,
+                queue_depth=cfg.controller_queue_depth,
+                max_outstanding=cfg.controller_max_outstanding,
+                refresh_enabled=cfg.refresh_enabled,
+                name=f"ddr3_{label}",
+            )
+            dlu = DataLookupUnit(
+                sim=self.sim,
+                config=cfg,
+                controller=controller,
+                on_bucket_data=self._on_bucket_data,
+                name=f"dlu_{label}",
+            )
+            dlu.on_lu1_drain(self._schedule_dispatch)
+            self.controllers.append(controller)
+            self.dlus.append(dlu)
+            self.flow_matches.append(FlowMatch(name=f"flow_match_{label}"))
+            self.updates.append(UpdateBlock(self.sim, cfg, dlu, name=f"updt_{label}"))
+
+        if input_queue_depth <= 0:
+            raise ValueError(f"input_queue_depth must be positive, got {input_queue_depth}")
+        # The descriptor FIFO in front of the sequencer.
+        self._input: Deque[LookupJob] = deque()
+        self._input_depth = input_queue_depth
+        self._dispatch_scheduled = False
+        self._in_dispatch = False
+
+        self.results: List[LookupOutcome] = []
+        self.rate = RateMeter(name="flow_lut_rate")
+        self.latency = RunningStats(name="lookup_latency_ps")
+
+    # ------------------------------------------------------------------ #
+    # Address helpers
+    # ------------------------------------------------------------------ #
+
+    def _bucket_address(self, bucket: int) -> int:
+        return bucket * self._bucket_stride
+
+    # ------------------------------------------------------------------ #
+    # Submission
+    # ------------------------------------------------------------------ #
+
+    def submit(self, descriptor) -> bool:
+        """Offer one descriptor; returns ``False`` when the input FIFO is full.
+
+        ``descriptor`` is normally a :class:`~repro.net.parser.PacketDescriptor`;
+        any object with ``key_bytes`` works, and an optional ``bucket_indices``
+        attribute overrides the hash computation (used by the Table II-A hash
+        pattern experiments).
+        """
+        if len(self._input) >= self._input_depth:
+            return False
+        key = descriptor.key_bytes
+        indices = getattr(descriptor, "bucket_indices", None)
+        if indices is None:
+            index1, index2 = self.table.hash_indices(key)
+        else:
+            index1, index2 = indices
+            index1 %= self.table.buckets_per_memory
+            index2 %= self.table.buckets_per_memory
+        now = self.sim._now
+        job = LookupJob(descriptor, key, index1, index2, now)
+        job.preferred_path = self.sequencer.preferred_path(index1)
+        self._input.append(job)
+        self.submitted += 1
+        if self._first_submit_ps is None:
+            self._first_submit_ps = now
+        self._schedule_dispatch()
+        return True
+
+    def submit_blocking(self, descriptor, retry_cycles: int = 8) -> None:
+        """Submit one descriptor, riding out input-FIFO backpressure.
+
+        Whenever the FIFO is full the simulator runs for ``retry_cycles``
+        system-clock cycles to let in-flight lookups retire, then the offer
+        is retried.  The engine's timed batch replay shares this policy; the
+        packet-level paths (:class:`~repro.analyzer.flow_processor.FlowProcessor`)
+        apply the same 8-cycle quantum around their own per-packet accounting.
+        """
+        retry_ps = self.config.system_clock_period_ps * retry_cycles
+        while not self.submit(descriptor):
+            self.sim.run(until_ps=self.sim.now + retry_ps)
 
     # ------------------------------------------------------------------ #
     # Dispatch (sequencer + CAM stage)
@@ -559,138 +770,19 @@ class FlowLUT:
         if self.on_result is not None:
             self.on_result(outcome)
 
-    def live_key(self, flow_id: int) -> Optional[bytes]:
-        """The table's key bytes for a live flow ID (None if unknown).
-
-        This is the *engine* representation of the flow identity — the
-        descriptor extractor's field packing, which is not necessarily
-        :meth:`FlowKey.pack` order — so migration can delete and re-insert
-        exactly the bytes the table stores.
-        """
-        return self._live_keys.get(flow_id)
-
-    def live_items(self) -> List[Tuple[int, bytes]]:
-        """Every live ``(flow_id, key_bytes)`` pair, sorted by flow ID.
-
-        This is the table's live-key map — the engine-side flow identities
-        a snapshot must carry so a warm restart can re-install exactly the
-        keys the device held (:mod:`repro.persist`).
-        """
-        return sorted(self._live_keys.items())
-
-    def live_flow_pairs(self) -> List[Tuple[bytes, Optional["FlowRecord"]]]:
-        """Every live ``(key_bytes, record)`` pair of this device.
-
-        The live-key map joined with the flow-state table: keys installed
-        without state (:meth:`preload`, or no table attached) appear with
-        a ``None`` record.  This is the single definition of "what a
-        snapshot must capture" — the sharded engine and the persist codecs
-        both build on it.
-        """
-        return [
-            (key_bytes, self.flow_state.get(flow_id) if self.flow_state is not None else None)
-            for flow_id, key_bytes in self.live_items()
-        ]
-
-    def live_packet_counts(self) -> Dict[bytes, int]:
-        """``{key_bytes: packets}`` for every live flow that has a record.
-
-        The cheap counterpart of :meth:`live_flow_pairs` for a reader that
-        wants only the cumulative packet counts (the control loop's per-window
-        marks): one unsorted pass over the live-key map joined with flow
-        state.  Keys without a record (preloaded, or no table attached) are
-        left out.
-        """
-        if self.flow_state is None:
-            return {}
-        get = self.flow_state.get
-        return {
-            key_bytes: record.packets
-            for flow_id, key_bytes in self._live_keys.items()
-            if (record := get(flow_id)) is not None
-        }
-
-    def restore_flow(self, record, key_bytes: Optional[bytes] = None) -> bool:
-        """Re-home a migrated flow: functional insert plus state adoption.
-
-        The cluster layer moves live flows between nodes when the ring
-        changes.  Like :meth:`preload` this is functional (no simulated
-        time): the key is inserted into the table, registered as live, and —
-        when a flow-state table is attached — the record is adopted under
-        the location-derived flow ID the new placement yields, keeping its
-        accumulated packet/byte counters.  ``key_bytes`` must be the engine
-        key the old owner's table stored (see :meth:`live_key`); it defaults
-        to the standard 5-tuple packing for callers outside the migration
-        path.  If the key already lives here (e.g. a packet of the flow
-        arrived before its state did), the migrated counters are folded into
-        the existing record.  Returns ``False`` only when the table cannot
-        place the key (overflow), in which case the caller must account the
-        flow as lost.
-        """
-        if key_bytes is None:
-            key_bytes = record.key.pack()
-        result = self.table.insert(key_bytes)
-        if result.already_present:
-            if self.flow_state is not None and result.flow_id is not None:
-                existing = self.flow_state.get(result.flow_id)
-                if existing is None:
-                    self.flow_state.adopt(result.flow_id, record)
-                else:
-                    self.flow_state.fold(result.flow_id, record)
-            return True
-        if not result.inserted:
-            return False
-        if result.flow_id is not None:
-            self._live_keys[result.flow_id] = key_bytes
-            if self.flow_state is not None:
-                self.flow_state.adopt(result.flow_id, record)
-        return True
-
     # ------------------------------------------------------------------ #
-    # Deletion and housekeeping
+    # Deletion
     # ------------------------------------------------------------------ #
 
     def delete_flow(self, key_bytes: bytes) -> bool:
         """Remove a flow entry, charging the DRAM write through the Update block."""
-        indices = self.table.hash_indices(key_bytes)
-        location = self.table.lookup(key_bytes, indices=indices)
-        if not location.found:
+        location = self._remove(key_bytes)
+        if location is None:
             return False
-        if location.stage in (LookupStage.MEM1, LookupStage.MEM2):
+        if location.memory is not None:
             address = self._bucket_address(location.bucket)
             self.updates[location.memory].request_delete(address, key_bytes)
-        self.table.delete(key_bytes, indices=indices)
-        if location.flow_id is not None:
-            self._live_keys.pop(location.flow_id, None)
         return True
-
-    def run_housekeeping(
-        self,
-        now_ps: Optional[int] = None,
-        expired_out: Optional[List[Tuple[bytes, "FlowRecord"]]] = None,
-    ) -> int:
-        """One housekeeping pass: expire idle flows and delete their entries.
-
-        Requires an attached flow-state table.  Returns the number of flows
-        removed.  When ``expired_out`` is given, every expired flow's
-        ``(key_bytes, record)`` pair is appended to it — the cluster layer
-        uses this to purge replica copies of flows that have ended, so a
-        later failover cannot resurrect them.
-        """
-        if self.flow_state is None:
-            return 0
-        now = self.sim.now if now_ps is None else now_ps
-        expired = self.flow_state.expire(now)
-        removed = 0
-        for record in expired:
-            key_bytes = self._live_keys.get(record.flow_id)
-            if key_bytes is None:
-                continue
-            if expired_out is not None:
-                expired_out.append((key_bytes, record))
-            if self.delete_flow(key_bytes):
-                removed += 1
-        return removed
 
     # ------------------------------------------------------------------ #
     # Draining and reporting
@@ -717,36 +809,9 @@ class FlowLUT:
                 return
         raise RuntimeError("Flow LUT failed to drain; in-flight work is stuck")
 
-    @property
-    def elapsed_ps(self) -> int:
-        """First submission to last completion."""
-        if self._first_submit_ps is None:
-            return 0
-        return max(0, self._last_complete_ps - self._first_submit_ps)
-
-    @property
-    def throughput_mdesc_s(self) -> float:
-        """Average processing rate in million descriptors per second."""
-        elapsed = self.elapsed_ps
-        if elapsed <= 0:
-            return 0.0
-        return self.completed * 1e6 / elapsed
-
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.completed if self.completed else 0.0
-
     def report(self) -> dict:
         return {
-            "config": self.config.summary(),
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "hits": self.hits,
-            "misses": self.misses,
-            "new_flows": self.new_flows,
-            "insert_failures": self.insert_failures,
-            "miss_rate": self.miss_rate,
-            "throughput_mdesc_s": self.throughput_mdesc_s,
+            **super().report(),
             "mean_latency_ns": self.latency.mean / 1000.0,
             "max_latency_ns": (self.latency.maximum / 1000.0) if self.latency.count else 0.0,
             "sequencer": self.sequencer.stats(),
@@ -754,5 +819,4 @@ class FlowLUT:
             "updates": [update.stats() for update in self.updates],
             "flow_matches": [fm.stats() for fm in self.flow_matches],
             "controllers": [controller.report() for controller in self.controllers],
-            "table": self.table.stats(),
         }

@@ -4,7 +4,8 @@ One timed :class:`~repro.core.flow_lut.FlowLUT` models one device; this
 package scales the reproduction out the way deployments do:
 
 * :mod:`repro.engine.sharded` — :class:`ShardedFlowLUT`, hash-partitioning
-  flow keys across ``N`` independent Flow LUT instances behind a batched
+  flow keys across ``N`` independent functional
+  :class:`~repro.core.flow_lut.FlowTable` shards behind a batched
   ``process_batch`` API that merges outcome blocks and per-shard stats.
   There is one ingest body, over :class:`~repro.columns.DescriptorBlock`
   columnar batches; descriptor lists are packed into a block at the

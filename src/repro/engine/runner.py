@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.config import FlowLUTConfig, small_test_config
-from repro.core.flow_lut import FlowLUT
+from repro.core.flow_lut import FlowLUT, FlowTable
 from repro.engine.sharded import ShardedFlowLUT
 from repro.hashing.crc import CRC32
 from repro.net.parser import DescriptorExtractor
@@ -67,7 +67,7 @@ class ScenarioRunResult:
 
 
 def _summarise(
-    name: str, packets: int, packets_parsed: int, devices: Sequence[FlowLUT]
+    name: str, packets: int, packets_parsed: int, devices: Sequence[FlowTable]
 ) -> ScenarioRunResult:
     """Parallel devices as one result: totals add, the slowest sets the clock."""
     completed = tuple(lut.completed for lut in devices)

@@ -1,15 +1,18 @@
-"""Sharded fast-path execution over independent Flow LUT instances.
+"""Sharded fast-path execution over independent flow tables.
 
 The paper's Flow LUT is a line-rate design, but one timed instance can only
 model one device.  Scaling the reproduction towards production traffic means
 doing what deployments do: partition the flow space by hash across ``N``
-independent Flow LUTs and drive them with *batches* of descriptors instead
-of one packet at a time.
+independent tables and drive them with *batches* of descriptors instead of
+one packet at a time.
 
-:class:`ShardedFlowLUT` implements that layer over one ingest body: a
-:class:`~repro.columns.DescriptorBlock` is hashed once, steered by CRC-32
-(independent of the per-shard H3 bucket hashing) and bulk-probed per shard
-(:meth:`FlowLUT.process_block <repro.core.flow_lut.FlowLUT.process_block>`);
+:class:`ShardedFlowLUT` implements that layer over one ingest body.  Each
+shard is a functional :class:`~repro.core.flow_lut.FlowTable` — the Flow
+LUT's table, live keys and flow state without the timed device (no
+simulator, no DDR3 model).  A :class:`~repro.columns.DescriptorBlock` is
+hashed once, steered by CRC-32 (independent of the per-shard H3 bucket
+hashing) and bulk-probed per shard
+(:meth:`FlowTable.process_block <repro.core.flow_lut.FlowTable.process_block>`);
 descriptor sequences are packed into a block at the entrance.  Every packet
 of a flow lands on the same shard, so the aggregate hit / miss / new-flow
 accounting is identical to a single LUT serving the whole stream.  The bulk
@@ -22,13 +25,13 @@ cycle-accurate figure; the cycle-accurate multi-device figures come from
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.columns import backend as col_backend
 from repro.columns.block import DescriptorBlock, OutcomeBlock
 from repro.columns.hashing import crc32_partition
 from repro.core.config import FlowLUTConfig
-from repro.core.flow_lut import FlowLUT
+from repro.core.flow_lut import FlowTable
 from repro.core.flow_state import FlowRecord, FlowStateTable
 from repro.hashing.crc import CRC32
 from repro.net.parser import PacketDescriptor
@@ -161,12 +164,12 @@ class _BatchTimer(_NullBatchTimer):
 
 
 class ShardedFlowLUT:
-    """``N`` independent Flow LUTs behind one batched lookup API.
+    """``N`` independent flow tables behind one batched lookup API.
 
     Parameters
     ----------
-    shards: number of Flow LUT instances (each a full dual-path device with
-        its own memory sets and simulator).
+    shards: number of :class:`~repro.core.flow_lut.FlowTable` instances
+        (each with its own Hash-CAM table, live keys and flow state).
     config: per-shard architecture configuration; defaults to the paper's
         prototype, like :class:`~repro.core.flow_lut.FlowLUT` itself.
     on_batch: optional callback invoked with every batch's merged
@@ -209,7 +212,7 @@ class ShardedFlowLUT:
         self.config = config or FlowLUTConfig()
         self.num_shards = shards
         self.on_batch = on_batch
-        self.shards: List[FlowLUT] = [FlowLUT(self.config) for _ in range(shards)]
+        self.shards: List[FlowTable] = [FlowTable(self.config) for _ in range(shards)]
         self.batches = 0
         if isinstance(obs, Observability):
             if windows is None:
@@ -334,11 +337,6 @@ class ShardedFlowLUT:
         timer.finish(self, block)
         return merged
 
-    def drain(self) -> None:
-        """Drain every shard (in-flight lookups and pending burst writes)."""
-        for shard in self.shards:
-            shard.drain()
-
     # ------------------------------------------------------------------ #
     # Flow state, aging and migration
     # ------------------------------------------------------------------ #
@@ -361,12 +359,6 @@ class ShardedFlowLUT:
     @property
     def flow_states(self) -> List[Optional[FlowStateTable]]:
         return [shard.flow_state for shard in self.shards]
-
-    def flow_records(self) -> Iterator[FlowRecord]:
-        """Every live flow record across all shards (needs attached state)."""
-        for shard in self.shards:
-            if shard.flow_state is not None:
-                yield from shard.flow_state
 
     @property
     def active_flows(self) -> int:
@@ -396,7 +388,7 @@ class ShardedFlowLUT:
     def live_packet_counts(self) -> Dict[bytes, int]:
         """``{engine_key_bytes: packets}`` for every live flow with a record.
 
-        :meth:`FlowLUT.live_packet_counts` merged across shards (a key lives
+        :meth:`FlowTable.live_packet_counts` merged across shards (a key lives
         on exactly one shard): unsorted, no record objects handed out — the
         per-window read the control loop takes its packet marks from.
         """
@@ -438,18 +430,17 @@ class ShardedFlowLUT:
 
     def run_housekeeping(
         self,
-        now_ps: Optional[int] = None,
+        now_ps: int,
         expired_out: Optional[List[Tuple[bytes, FlowRecord]]] = None,
     ) -> int:
         """One aging pass over every shard; returns total flows removed.
 
-        Fans out to each shard's :meth:`~repro.core.flow_lut.FlowLUT.
+        Fans out to each shard's :meth:`~repro.core.flow_lut.FlowTable.
         run_housekeeping` (expire idle records, delete their table entries)
-        and sums the removals.  ``now_ps`` should be the workload clock (the
-        latest descriptor timestamp) because record idle times are measured
-        in descriptor timestamps; it defaults to each shard's simulated time.
-        ``expired_out`` collects the expired ``(key_bytes, record)`` pairs
-        across all shards (see the single-LUT method).
+        and sums the removals.  ``now_ps`` is the workload clock (the latest
+        descriptor timestamp): record idle times are measured in descriptor
+        timestamps.  ``expired_out`` collects the expired ``(key_bytes,
+        record)`` pairs across all shards (see the single-table method).
         """
         return sum(shard.run_housekeeping(now_ps, expired_out) for shard in self.shards)
 

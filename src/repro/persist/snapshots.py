@@ -16,8 +16,9 @@ Two shapes of API:
   self-contained structures (sketches, trackers, detectors, histograms,
   pipelines, flow records, flow-state tables) to fresh, fully functional
   objects.
-* **Device codecs** — a timed Flow LUT cannot be conjured from bytes
-  alone (it owns simulators and DDR3 models), so :func:`dump_flow_lut` /
+* **Device codecs** — a flow table is built from its configuration (and
+  a timed Flow LUT owns simulators and DDR3 models), so it cannot be
+  conjured from bytes alone: :func:`dump_flow_lut` /
   :func:`dump_sharded` / :func:`dump_node_snapshot` capture the *durable*
   part — the live-key map with its flow records (plus the node's
   telemetry pipeline) — and :func:`restore_flow_lut` /
@@ -33,7 +34,7 @@ import struct
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.flow_lut import FlowLUT
+from repro.core.flow_lut import FlowTable
 from repro.core.flow_state import FlowRecord, FlowStateTable
 from repro.engine.sharded import ShardedFlowLUT
 from repro.net.fivetuple import FLOW_KEY_BYTES, FlowKey
@@ -98,7 +99,8 @@ def dumps(obj) -> bytes:
     """Serialise any snapshot-capable object to one framed blob.
 
     Value types round-trip through :func:`loads`; device types
-    (:class:`~repro.core.flow_lut.FlowLUT`,
+    (:class:`~repro.core.flow_lut.FlowTable` and the timed
+    :class:`~repro.core.flow_lut.FlowLUT`,
     :class:`~repro.engine.sharded.ShardedFlowLUT`, cluster nodes) load
     back as their snapshot views, to be replayed with the ``restore_*``
     helpers.
@@ -113,7 +115,7 @@ def dumps(obj) -> bytes:
             return dump_node_snapshot(obj)
         if isinstance(obj, ShardedFlowLUT):
             return dump_sharded(obj)
-        if isinstance(obj, FlowLUT):
+        if isinstance(obj, FlowTable):
             return dump_flow_lut(obj)
         raise SnapshotError(f"no snapshot codec for {type(obj).__name__!r}")
     return pack_frame(codec.magic, codec.version, codec.encode(obj))
@@ -489,8 +491,9 @@ def _read_entries(reader: ByteReader) -> List[FlowEntry]:
     return entries
 
 
-def dump_flow_lut(lut: FlowLUT) -> bytes:
-    """Snapshot a Flow LUT's live-key map (and attached flow records)."""
+def dump_flow_lut(lut: FlowTable) -> bytes:
+    """Snapshot a flow table's live-key map (and attached flow records);
+    a timed :class:`~repro.core.flow_lut.FlowLUT` is one too."""
     writer = ByteWriter()
     writer.i64(lut.config.seed).u32(lut.table.buckets_per_memory)
     _write_entries(writer, lut.live_flow_pairs())
@@ -545,9 +548,9 @@ def _check_geometry(
         )
 
 
-def restore_flow_lut(lut: FlowLUT, snapshot) -> int:
-    """Replay a Flow LUT snapshot into a freshly built LUT; returns the
-    number of flows installed.
+def restore_flow_lut(lut: FlowTable, snapshot) -> int:
+    """Replay a Flow LUT snapshot into a freshly built flow table (timed
+    or not); returns the number of flows installed.
 
     ``snapshot`` is the raw frame or a :class:`FlowLUTSnapshot`.  The
     target must share the snapshot's hash seed and bucket geometry —

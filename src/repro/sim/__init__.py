@@ -2,8 +2,7 @@
 
 The kernel is intentionally small: an event queue keyed on integer picoseconds
 (:class:`~repro.sim.engine.Simulator`), clock-domain helpers
-(:class:`~repro.sim.clock.Clock`), bounded FIFOs with occupancy statistics
-(:class:`~repro.sim.fifo.Fifo`), and measurement utilities
+(:class:`~repro.sim.clock.Clock`), and measurement utilities
 (:mod:`repro.sim.stats`).
 
 Time is always an ``int`` number of picoseconds.  Using integers keeps event
@@ -13,7 +12,6 @@ DDR3 I/O clocks) without floating-point drift.
 
 from repro.sim.clock import Clock, PS_PER_SECOND
 from repro.sim.engine import Event, Simulator
-from repro.sim.fifo import Fifo, FifoFullError
 from repro.sim.rng import make_rng
 from repro.sim.stats import Counter, Histogram, RateMeter, RunningStats
 
@@ -21,8 +19,6 @@ __all__ = [
     "Clock",
     "Counter",
     "Event",
-    "Fifo",
-    "FifoFullError",
     "Histogram",
     "PS_PER_SECOND",
     "RateMeter",

@@ -1,4 +1,4 @@
-"""The block body, ``FlowLUT.process_block``, against the loop it replaced.
+"""The block body, ``FlowTable.process_block``, against the loop it replaced.
 
 ``reference_process_block`` is the row loop as it stood before the body was
 rewritten to touch each row once (it indexes numpy columns per row, builds a
@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.columns import DescriptorBlock
 from repro.columns.block import STAGE_CODES, OutcomeBlock
 from repro.core.config import small_test_config
-from repro.core.flow_lut import FlowLUT
+from repro.core.flow_lut import FlowTable
 from repro.core.flow_state import FlowStateTable
 from repro.core.hash_cam import LookupStage
 from repro.net.fivetuple import FlowKey
@@ -33,7 +33,7 @@ def reference_process_block(lut, block, hash_columns=None):
     else:
         idx1_col, idx2_col = hash_columns
 
-    base = max(lut._last_complete_ps, lut.sim.now)
+    base = lut._last_complete_ps
     period = lut._sys_period
     if count and lut._first_submit_ps is None:
         lut._first_submit_ps = base
@@ -193,7 +193,7 @@ def test_block_body_matches_the_reference_loop(
     for label, context in each_backend():
         with context:
             luts = [
-                FlowLUT(config, flow_state=FlowStateTable() if with_state else None)
+                FlowTable(config, flow_state=FlowStateTable() if with_state else None)
                 for _ in range(2)
             ]
             for lut in luts:
@@ -205,7 +205,7 @@ def test_block_body_matches_the_reference_loop(
                     (KEY_POOL[k], length, ts, flags) for k, length, ts, flags in rows
                 )
                 results = []
-                for body, lut in zip((reference_process_block, FlowLUT.process_block), luts):
+                for body, lut in zip((reference_process_block, FlowTable.process_block), luts):
                     columns = None
                     if given_columns:
                         columns = lut.table.column_hash_indices(
@@ -219,7 +219,7 @@ def test_block_body_matches_the_reference_loop(
 def test_empty_block_counts_nothing(each_backend):
     for _, context in each_backend():
         with context:
-            lut = FlowLUT(small_test_config(), flow_state=FlowStateTable())
+            lut = FlowTable(small_test_config(), flow_state=FlowStateTable())
             before = _observable(lut)
             outcome = lut.process_block(DescriptorBlock.from_rows([]))
             assert len(outcome) == 0
@@ -233,9 +233,9 @@ def test_empty_block_counts_nothing(each_backend):
 
 @pytest.fixture
 def counted_lut(monkeypatch, count_hash_calls):
-    """A Flow LUT with flow state whose ``FlowKey`` constructions, table
+    """A flow table with flow state whose ``FlowKey`` constructions, table
     ``lookup`` / ``_place`` calls and ``hash_indices`` calls are counted."""
-    lut = FlowLUT(small_test_config(), flow_state=FlowStateTable())
+    lut = FlowTable(small_test_config(), flow_state=FlowStateTable())
     calls = {"FlowKey": 0, "lookup": 0, "_place": 0}
 
     validate = FlowKey.__post_init__
@@ -281,7 +281,7 @@ def test_a_block_of_new_flows_builds_one_flow_key_and_places_once_per_flow(count
 
 
 def test_flow_state_rejects_a_block_whose_keys_are_not_five_tuples_before_touching_anything():
-    lut = FlowLUT(small_test_config(), flow_state=FlowStateTable())
+    lut = FlowTable(small_test_config(), flow_state=FlowStateTable())
     zeros = array("q", [0, 0])
     block = DescriptorBlock(bytes(8), zeros, zeros, array("H", [0, 0]), key_width=4)
     before = _observable(lut)

@@ -6,9 +6,12 @@ import pytest
 
 from repro.cluster import ClusterCoordinator, ClusterNode, HashRing
 from repro.core.config import small_test_config
-from repro.engine import run_scenario_single
+from repro.core.flow_lut import FlowLUT
+from repro.engine import ShardedFlowLUT, run_scenario_single
 from repro.obs import Observability
+from repro.persist import dump_node_snapshot, dump_sharded, restore_sharded
 from repro.reporting import run_cluster_scaling
+from repro.sim.engine import Simulator
 from repro.telemetry import TelemetryConfig, TelemetryPipeline
 from repro.traffic import (
     generate_scenario,
@@ -435,3 +438,60 @@ def test_finalize_telemetry_populates_cluster_flow_sizes():
     )
     assert merged.flow_sizes.flows == expired + live == created
     assert merged.flow_sizes.total_packets == 400
+
+
+# --------------------------------------------------------------------------- #
+# The engine and cluster tiers hold functional flow tables, not timed devices
+# --------------------------------------------------------------------------- #
+
+
+@pytest.fixture
+def simulators_built(monkeypatch):
+    """Every ``Simulator`` constructed while the test runs."""
+    built = []
+    init = Simulator.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Simulator, "__init__", counting_init)
+    return built
+
+
+def test_the_cluster_tier_constructs_no_simulator(simulators_built):
+    packets = 800
+    descriptors = scenario_descriptors("node_failover", packets, seed=21)
+    coordinator = ClusterCoordinator(
+        nodes=3, config=CONFIG, shards_per_node=2, telemetry_seed=21, flow_timeout_us=5.0
+    )
+    coordinator.ingest(descriptors[:200])
+    assert coordinator.add_node("joiner")["migrated"] > 0
+    coordinator.ingest(descriptors[200:400])
+    coordinator.remove_node("node0")
+    coordinator.run_housekeeping(descriptors[399].timestamp_ps)
+    coordinator.checkpoint_all()
+    coordinator.ingest(descriptors[400:600])
+    victim = max(coordinator.nodes, key=lambda node_id: coordinator.nodes[node_id].active_flows)
+    snapshot = dump_node_snapshot(coordinator.nodes[victim])
+    assert coordinator.fail_node(victim)["recovery"] == "checkpoint"
+    assert coordinator.add_node("replacement", snapshot=snapshot)["restored"] > 0
+    coordinator.ingest(descriptors[600:])
+    assert coordinator.cluster_totals()["completed"] == packets
+    assert simulators_built == []
+    FlowLUT(CONFIG)  # the timed device still builds one: the count is live
+    assert len(simulators_built) == 1
+
+
+def test_a_standalone_sharded_engine_constructs_no_simulator(simulators_built):
+    descriptors = scenario_descriptors("churn", 300, seed=22)
+    engine = ShardedFlowLUT(shards=3, config=CONFIG)
+    engine.attach_flow_state(timeout_us=5.0)
+    engine.process_batch(descriptors)
+    engine.run_housekeeping(descriptors[-1].timestamp_ps)
+    key, _ = engine.live_flow_pairs()[0]
+    assert engine.delete_flow(key)
+    twin = ShardedFlowLUT(shards=2, config=CONFIG)
+    twin.attach_flow_state()
+    assert restore_sharded(twin, dump_sharded(engine)) == len(engine.live_flow_pairs())
+    assert simulators_built == []

@@ -8,9 +8,9 @@ Three layers of safety net around the columnar batch representation:
 2. **Hashing equivalence** — the vectorised CRC-32 and H3 column hashers
    reproduce the scalar implementations bit for bit across seeds, key
    widths and output geometries, on both the numpy and stdlib backends.
-3. **End-to-end equivalence** — the bulk probe (``FlowLUT.process_block``)
-   is checked against the cycle-accurate timed path, its oracle, on every
-   registered scenario and both column backends; the engine and cluster
+3. **End-to-end equivalence** — the bulk probe (``FlowTable.process_block``)
+   is checked against the cycle-accurate timed ``FlowLUT``, its oracle, on
+   every registered scenario and both column backends; the engine and cluster
    tiers have one ingest body, so there the check is the entrance adapter:
    a descriptor sequence in equals a block in, on books, flow state,
    telemetry report and (canonicalised) top-k.
@@ -37,7 +37,7 @@ from repro.columns.hashing import (
     tabulation_column,
 )
 from repro.core.config import small_test_config
-from repro.core.flow_lut import FlowLUT
+from repro.core.flow_lut import FlowLUT, FlowTable
 from repro.core.flow_state import FlowStateTable
 from repro.cluster import ClusterCoordinator
 from repro.cluster.ring import HashRing
@@ -230,7 +230,7 @@ def test_column_hasher_is_shared_per_function_and_width():
     with pytest.raises(ValueError):
         column_hasher(H3Hash(16, 8, seed=0), 3)
     # Two tables on one config seed probe through one compiled pair.
-    one, other = FlowLUT(CONFIG).table, FlowLUT(CONFIG).table
+    one, other = FlowTable(CONFIG).table, FlowTable(CONFIG).table
     block = scenario_block("zipf_mix", 64, seed=5)
     before = len(column_hashing._HASHER_CACHE)
     one.column_hash_indices(block.key_data, len(block), block.key_width)
@@ -320,7 +320,7 @@ def test_crc32_partition_matches_shard_of():
 
 
 def test_table_column_hash_indices_match_scalar():
-    lut = FlowLUT(CONFIG)
+    lut = FlowTable(CONFIG)
     block = scenario_block("zipf_mix", 150, seed=5)
     idx1_col, idx2_col = lut.table.column_hash_indices(
         block.key_data, len(block), block.key_width
@@ -355,15 +355,24 @@ def _telemetry_view(pipeline: TelemetryPipeline, packets: int):
     return pipeline.report(), _books(pipeline, packets), pipeline.superspreaders()
 
 
+def _table_contents(table):
+    """The CAM's entries and every bucket of both memories, in stored order."""
+    return sorted(table.cam), [
+        {bucket: [(entry.key, entry.flow_id) for entry in entries]
+         for bucket, entries in memory.items()}
+        for memory in table._memories
+    ]
+
+
 def test_flow_lut_process_block_matches_timed_path(monkeypatch):
-    """The oracle test: on every registered scenario and both column
-    backends, the functional bulk probe leaves the same totals, flow state
-    and telemetry as the cycle-accurate submit/drain loop."""
+    """The two-object oracle: on every registered scenario and both column
+    backends, a functional ``FlowTable``'s bulk probe leaves the same
+    totals, flow state, telemetry, CAM and bucket contents and live-key map
+    as the cycle-accurate ``FlowLUT``'s submit/drain loop."""
     packets = 300
     for name in list_scenarios():
         descriptors = scenario_descriptors(name, packets, seed=17)
-        timed = FlowLUT(CONFIG)
-        timed.flow_state = FlowStateTable(timeout_us=CONFIG.flow_timeout_us)
+        timed = FlowLUT(CONFIG, flow_state=FlowStateTable(timeout_us=CONFIG.flow_timeout_us))
         for descriptor in descriptors:
             timed.submit_blocking(descriptor)
         timed.drain()
@@ -376,8 +385,9 @@ def test_flow_lut_process_block_matches_timed_path(monkeypatch):
                     patch.setattr(backend, "np", None)
                 elif backend.np is None:
                     continue  # numpy-less environment: the stdlib leg covers it
-                bulk = FlowLUT(CONFIG)
-                bulk.flow_state = FlowStateTable(timeout_us=CONFIG.flow_timeout_us)
+                bulk = FlowTable(
+                    CONFIG, flow_state=FlowStateTable(timeout_us=CONFIG.flow_timeout_us)
+                )
                 outcome = bulk.process_block(DescriptorBlock.from_descriptors(descriptors))
                 tele_bulk = _ample_telemetry(packets)
                 tele_bulk.observe_outcomes(outcome)
@@ -388,6 +398,8 @@ def test_flow_lut_process_block_matches_timed_path(monkeypatch):
             ), where
             assert bulk.insert_failures == timed.insert_failures, where
             assert _flow_state([bulk]) == _flow_state([timed]), where
+            assert _table_contents(bulk.table) == _table_contents(timed.table), where
+            assert bulk.live_items() == timed.live_items(), where
             assert _telemetry_view(tele_bulk, packets) == _telemetry_view(
                 tele_timed, packets
             ), where

@@ -365,8 +365,9 @@ def test_sharded_housekeeping_expires_idle_flows_under_churn():
 
 def test_sharded_housekeeping_without_flow_state_is_a_noop():
     engine = ShardedFlowLUT(shards=2, config=CONFIG)
-    engine.process_batch(scenario_descriptors("zipf_mix", 100, seed=31))
-    assert engine.run_housekeeping() == 0
+    descriptors = scenario_descriptors("zipf_mix", 100, seed=31)
+    engine.process_batch(descriptors)
+    assert engine.run_housekeeping(descriptors[-1].timestamp_ps + 10**12) == 0
     assert engine.active_flows == 0
 
 

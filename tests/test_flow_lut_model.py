@@ -1,4 +1,4 @@
-"""Model-based test of one Flow LUT's flow identities (ROADMAP 6(i), first slice).
+"""Model-based test of one flow table's flow identities (ROADMAP 6(i), first slice).
 
 Flow IDs are location-derived and flow state is keyed by them, so an ID that
 is re-issued while its first holder is live, or that changes under a live
@@ -7,7 +7,8 @@ interleavings of the operations that create, move and remove entries —
 ``process_block``, migration out (``detach`` + ``delete_flow``), migration
 in (``restore_flow``) and ``run_housekeeping`` — against a plain dict of
 ``key -> flow ID``, on tables small enough to overflow into the CAM and to
-refuse inserts, on both column backends.
+refuse inserts, on both column backends.  The machine drives a
+:class:`~repro.core.flow_lut.FlowTable`, the class every engine shard is.
 """
 
 from hypothesis import settings, strategies as st
@@ -16,7 +17,7 @@ from hypothesis.stateful import run_state_machine_as_test
 
 from repro.columns import DescriptorBlock
 from repro.core.config import small_test_config
-from repro.core.flow_lut import FlowLUT
+from repro.core.flow_lut import FlowTable
 from repro.core.flow_state import FlowRecord, FlowStateTable
 from repro.net.fivetuple import FlowKey
 
@@ -33,14 +34,14 @@ picks = st.integers(0, len(FLOW_KEYS) - 1)
 steps_ps = st.integers(0, TIMEOUT_PS // 2)
 
 
-class FlowLUTMachine(RuleBasedStateMachine):
+class FlowTableMachine(RuleBasedStateMachine):
     @initialize(shape=st.sampled_from([(8, 2, 2), (12, 3, 1), (65_536, 2, 32)]))
     def build(self, shape):
         num_flows, bucket_entries, cam_entries = shape
         config = small_test_config(
             num_flows=num_flows, bucket_entries=bucket_entries, cam_entries=cam_entries
         )
-        self.lut = FlowLUT(config, flow_state=FlowStateTable(timeout_us=TIMEOUT_PS / 1e6))
+        self.lut = FlowTable(config, flow_state=FlowStateTable(timeout_us=TIMEOUT_PS / 1e6))
         self.ids = {}  # engine key -> flow ID, while the flow is live
         self.last_seen = {}
         self.parked = {}  # engine key -> record taken out by migrate_out
@@ -147,4 +148,4 @@ class FlowLUTMachine(RuleBasedStateMachine):
 def test_random_histories_keep_flow_ids_unique_and_stable(each_backend):
     for _label, context in each_backend():
         with context:
-            run_state_machine_as_test(FlowLUTMachine, settings=SETTINGS)
+            run_state_machine_as_test(FlowTableMachine, settings=SETTINGS)
