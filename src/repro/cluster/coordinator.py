@@ -34,11 +34,14 @@ from __future__ import annotations
 import os
 import time
 from contextlib import nullcontext
+from itertools import compress
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.columns.block import DescriptorBlock, OutcomeBlock
+from repro.columns.hashing import key_list_columns
 from repro.core.config import FlowLUTConfig, small_test_config
+from repro.core.flow_lut import MovedFlows
 from repro.core.flow_state import FlowRecord
 from repro.cluster.load_signal import OUTCOMES_METRIC, window_node_loads
 from repro.cluster.node import ClusterNode
@@ -53,6 +56,17 @@ from repro.sim.stats import busiest_over_mean
 from repro.telemetry.pipeline import TelemetryConfig, TelemetryPipeline
 
 DEFAULT_BATCH_SIZE = 512
+
+
+def _rows_by_owner(owners: Sequence[str]) -> Dict[str, List[int]]:
+    """Row indices per owner, rows in order, owners in order of first row."""
+    rows: Dict[str, List[int]] = {}
+    for row, owner in enumerate(owners):
+        bucket = rows.get(owner)
+        if bucket is None:
+            bucket = rows[owner] = []
+        bucket.append(row)
+    return rows
 
 
 class ClusterCoordinator:
@@ -394,12 +408,7 @@ class ClusterCoordinator:
                     owners[row] = pinned
                     if backups is not None:
                         backups[row] = tuple(self.backups_of(key_bytes))
-        rows: Dict[str, List[int]] = {}
-        for row, owner in enumerate(owners):
-            bucket = rows.get(owner)
-            if bucket is None:
-                bucket = rows[owner] = []
-            bucket.append(row)
+        rows = _rows_by_owner(owners)
         works = [
             work_for(node_id, block.take(rows[node_id]))
             for node_id in self.nodes
@@ -553,6 +562,28 @@ class ClusterCoordinator:
     def close(self) -> None:
         """Release the executor's pool (safe to call repeatedly)."""
         self.executor.close()
+
+    def _owners(self, keys: Sequence[bytes]) -> List[str]:
+        """:meth:`owner_of` for every key of a list.
+
+        One column ring pass (:meth:`HashRing.lookup_column
+        <repro.cluster.ring.HashRing.lookup_column>`, once per key width)
+        with the pins patched in, the way :meth:`_steer_works` patches
+        owners.
+        """
+        ring = self.ring
+        (owners,) = key_list_columns(
+            keys,
+            lambda *column: (ring.lookup_column(*column),),
+            lambda key: (ring.lookup(key),),
+        )
+        if self._pins:
+            pins = self._pins
+            for row, key_bytes in enumerate(keys):
+                pinned = pins.get(key_bytes)
+                if pinned is not None:
+                    owners[row] = pinned
+        return owners
 
     def _backup_sets(self, key_data: bytes, keys: Sequence[bytes]) -> List[Tuple[str, ...]]:
         """:meth:`backups_of` for every key of a packed engine-key column.
@@ -771,30 +802,43 @@ class ClusterCoordinator:
         The one migration body.  Between public calls every live flow sits
         on :meth:`owner_of` its key, so whatever just changed the placement
         function — a joiner's arcs, a pin or unpin, a weight delta — the
-        flows to move are exactly those whose owner is now elsewhere:
-        extract them from every node and re-home them.
+        flows to move are exactly those whose owner is now elsewhere.  Node
+        by node, each shard's live keys come out as one column (flow-state
+        iteration order); their owners come from one column ring pass with
+        the pins patched in (:meth:`_owners`), and a mask picks the movers.
+        The movers are extracted with their bucket indices and re-homed on
+        the owners already computed.
         """
-        moved: List[Tuple[bytes, FlowRecord]] = []
-        for node in list(self.nodes.values()):
-            moved.extend(
-                node.extract_flows(
-                    lambda key_bytes, record, node_id=node.node_id: (
-                        self.owner_of(key_bytes) != node_id
-                    )
-                )
-            )
-        return self._rehome(moved)
+        moved: List[MovedFlows] = []
+        owners: List[str] = []
 
-    def _rehome(self, flows: Iterable[Tuple[bytes, FlowRecord]]) -> dict:
+        def movers(keys: List[bytes], node_id: str) -> List[bool]:
+            column = self._owners(keys)
+            mask = [owner != node_id for owner in column]
+            owners.extend(compress(column, mask))
+            return mask
+
+        for node in list(self.nodes.values()):
+            moved.append(
+                node.extract_flows(lambda keys, node_id=node.node_id: movers(keys, node_id))
+            )
+        return self._rehome(MovedFlows.concat(moved), owners)
+
+    def _rehome(self, flows: MovedFlows, owners: Optional[List[str]] = None) -> dict:
         """Restore extracted flows onto their current owners (pin or ring),
-        then rebuild the replication plane (backup sets follow placement)."""
+        then rebuild the replication plane (backup sets follow placement).
+
+        ``owners`` are the flows' owners when the caller already holds them
+        (:meth:`_reconcile_placement`); otherwise one :meth:`_owners` pass
+        computes them.  Each owner absorbs its flows, in extraction order,
+        with one install that reuses the extraction's bucket indices.
+        """
         migrated = 0
         lost = 0
-        pending: Dict[str, List[Tuple[bytes, FlowRecord]]] = {}
-        for key_bytes, record in flows:
-            pending.setdefault(self.owner_of(key_bytes), []).append((key_bytes, record))
-        for node_id, group in pending.items():
-            restored, failed = self.nodes[node_id].absorb_flows(group)
+        if owners is None:
+            owners = self._owners(flows.keys())
+        for node_id, rows in _rows_by_owner(owners).items():
+            restored, failed = self.nodes[node_id].absorb_flows(flows.take(rows))
             migrated += restored
             lost += failed
         self.flows_migrated += migrated
@@ -811,23 +855,25 @@ class ClusterCoordinator:
 
         The recovery counterpart of :meth:`_rehome`: each record lands on
         the node now owning its key (folding into an already re-learned
-        record if one exists).  A ``None`` record is a bare preloaded
-        table entry — the key is re-installed functionally but counts as
-        no flow instance (it was never in the flow books).  Re-replication
-        of the restored flows is the plane resync's job — every membership
-        change ends with :meth:`_resync_replication_plane`, which rebuilds
-        the backups from the post-recovery primary state.  Returns the
-        number of flow records installed; a flow the table cannot place
-        stays lost (it was already counted when its node died).
+        record if one exists).  The owners come from one :meth:`_owners`
+        pass and each owner installs its flows, in input order, with one
+        :meth:`ClusterNode.restore_flows
+        <repro.cluster.node.ClusterNode.restore_flows>`.  A ``None`` record
+        is a bare preloaded table entry — the key is re-installed
+        functionally but counts as no flow instance (it was never in the
+        flow books).  Re-replication of the restored flows is the plane
+        resync's job — every membership change ends with
+        :meth:`_resync_replication_plane`, which rebuilds the backups from
+        the post-recovery primary state.  Returns the number of flow
+        records installed; a flow the table cannot place stays lost (it was
+        already counted when its node died).
         """
-        restored = 0
-        for key_bytes, record in flows:
-            owner = self.owner_of(key_bytes)
-            if record is None:
-                self.nodes[owner].engine.preload([key_bytes])
-            elif self.nodes[owner].restore_flow(key_bytes, record):
-                restored += 1
-        return restored
+        pairs = list(flows)
+        owners = self._owners([key_bytes for key_bytes, _ in pairs])
+        return sum(
+            self.nodes[owner].restore_flows([pairs[row] for row in rows])
+            for owner, rows in _rows_by_owner(owners).items()
+        )
 
     def add_node(
         self,

@@ -18,6 +18,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.cluster.replica import ReplicaStore
 from repro.columns.block import OutcomeBlock
 from repro.core.config import FlowLUTConfig
+from repro.core.flow_lut import MovedFlows
 from repro.core.flow_state import FlowRecord
 from repro.engine.sharded import ShardedFlowLUT
 from repro.obs.metrics import MetricsRegistry
@@ -188,72 +189,68 @@ class ClusterNode:
         return self.engine.active_flows
 
     def extract_flows(
-        self, predicate: Optional[Callable[[bytes, FlowRecord], bool]] = None
-    ) -> List[Tuple[bytes, FlowRecord]]:
-        """Remove and return live flows matching ``predicate`` (all if None).
+        self, select: Optional[Callable[[List[bytes]], Sequence[bool]]] = None
+    ) -> MovedFlows:
+        """Remove and return the live flows ``select`` picks (all if None).
 
-        Yields ``(key_bytes, record)`` pairs where ``key_bytes`` is the
-        *engine* key the flow table stored (the descriptor extractor's field
-        packing — the same bytes the ring steers on), so the caller can
-        re-home each flow on the ring owner of exactly that identity.  The
-        records are detached (not exported — the flows are moving, not
-        terminating) and their table entries deleted (functionally: the
-        shards model no DRAM write), so this node stops claiming them; the
+        Each shard's live keys are built as one column, in flow-state
+        iteration order, shard by shard; ``select(keys)`` returns one flag
+        per key (the coordinator tests ownership by column with it).  The
+        keys are the *engine* keys the flow tables stored (the descriptor
+        extractor's field packing — the same bytes the ring steers on).
+        The picked flows' records are detached (not exported — the flows
+        are moving, not terminating) and their table entries deleted with
+        bucket indices hashed once for the column
+        (:meth:`FlowTable.extract_flows
+        <repro.core.flow_lut.FlowTable.extract_flows>`), so this node stops
+        claiming them.  The returned :class:`~repro.core.flow_lut.MovedFlows`
+        carries the ``(key_bytes, record)`` pairs and those indices; the
         caller re-homes them with :meth:`absorb_flows` on the new owner.
         """
-        extracted: List[Tuple[bytes, FlowRecord]] = []
-        for shard in self.engine.shards:
-            state = shard.flow_state
-            if state is None:
-                continue
-            victims = []
-            for record in state:
-                key_bytes = shard.live_key(record.flow_id)
-                if key_bytes is None:
-                    continue  # record without a table entry cannot migrate
-                if predicate is None or predicate(key_bytes, record):
-                    victims.append((key_bytes, record))
-            for key_bytes, record in victims:
-                state.detach(record.flow_id)
-                shard.delete_flow(key_bytes)
-                extracted.append((key_bytes, record))
+        extracted = MovedFlows.concat(
+            [shard.extract_flows(select) for shard in self.engine.shards]
+        )
         if extracted:
             self.flows_migrated_out += len(extracted)
             if self.obs is not None:
                 self._obs_moved["out"].inc(len(extracted))
         return extracted
 
-    def absorb_flows(self, flows: Sequence[Tuple[bytes, FlowRecord]]) -> Tuple[int, int]:
-        """Adopt migrated ``(key_bytes, record)`` pairs; returns ``(restored, failed)``.
+    def absorb_flows(self, flows: MovedFlows) -> Tuple[int, int]:
+        """Adopt migrated flows; returns ``(restored, failed)``.
 
-        A flow fails only when the table cannot place its key (overflow);
-        the coordinator accounts those flows as lost.
+        ``flows`` is what :meth:`extract_flows` returned; it goes through
+        one engine :meth:`~repro.engine.sharded.ShardedFlowLUT.install`,
+        which reuses
+        the extraction's bucket indices when this node's tables share the
+        source's index family.  A flow fails only when the table cannot
+        place its key (overflow); the coordinator accounts those flows as
+        lost.
         """
-        restored = 0
-        failed = 0
-        for key_bytes, record in flows:
-            if self.engine.restore_flow(record, key_bytes):
-                restored += 1
-            else:
-                failed += 1
+        restored = self.engine.install(flows.pairs, flows.indices).count(1)
         self.flows_migrated_in += restored
         if restored and self.obs is not None:
             self._obs_moved["in"].inc(restored)
-        return restored, failed
+        return restored, len(flows) - restored
 
-    def restore_flow(self, key_bytes: bytes, record: FlowRecord) -> bool:
-        """Adopt one flow recovered from a checkpoint or replica promotion.
+    def restore_flows(self, flows: Sequence[Tuple[bytes, Optional[FlowRecord]]]) -> int:
+        """Adopt flows recovered from a checkpoint or replica promotion.
 
-        Like :meth:`absorb_flows` but accounted separately — a restore is
-        recovery of state that was about to be lost, not a migration.
-        Returns ``False`` when the table cannot place the key.
+        Like :meth:`absorb_flows` (one engine install of the
+        ``(key_bytes, record)`` pairs, in order) but accounted separately —
+        a restore is recovery of state that was about to be lost, not a
+        migration.  A ``None`` record is a bare preloaded table entry: the
+        key is re-installed but counts as no flow.  Returns the number of
+        records installed; a record the table cannot place is not.
         """
-        if self.engine.restore_flow(record, key_bytes):
-            self.flows_restored_in += 1
-            if self.obs is not None:
-                self._obs_moved["restored"].inc()
-            return True
-        return False
+        installed = self.engine.install(flows)
+        restored = sum(
+            1 for flag, (_, record) in zip(installed, flows) if flag and record is not None
+        )
+        self.flows_restored_in += restored
+        if restored and self.obs is not None:
+            self._obs_moved["restored"].inc(restored)
+        return restored
 
     # ------------------------------------------------------------------ #
     # Replication (backup role)

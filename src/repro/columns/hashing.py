@@ -24,7 +24,7 @@ falls back to a stdlib per-key loop with identical results.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.columns import backend
 from repro.hashing.crc import CRC32, CRCHash
@@ -202,6 +202,41 @@ def tabulation_column(tab: TabulationHash, values: Sequence[int]):
         shift = np.uint64(8 * (key_bytes - 1 - position))
         out ^= tables[position][(keys >> shift) & np.uint64(0xFF)]
     return out.tolist()
+
+
+def key_list_columns(keys: Sequence[bytes], column_fn, key_fn, max_width: Optional[int] = None):
+    """A column function applied to a list of keys of any widths.
+
+    ``column_fn(key_data, count, width)`` returns a tuple of columns for a
+    packed column of ``width``-byte keys; ``key_fn(key)`` returns the same
+    tuple for one key.  The keys are packed and handed to ``column_fn`` once
+    per distinct width (once in all for the usual one-width list); a width
+    ``column_fn`` cannot take — empty keys, or keys wider than ``max_width``
+    bytes — goes through ``key_fn`` key by key.  Returns one list of Python
+    values per column, aligned with ``keys`` (no keys make one empty column
+    of width 1).
+    """
+    from repro.columns.block import as_list
+
+    def apply(group: Sequence[bytes], width: int) -> List[list]:
+        if width and (max_width is None or width <= max_width):
+            return [as_list(part) for part in column_fn(b"".join(group), len(group), width)]
+        return [list(part) for part in zip(*map(key_fn, group))]
+
+    widths = set(map(len, keys)) or {1}
+    if len(widths) == 1:  # the usual list: one width, no regrouping
+        return apply(keys, widths.pop())
+    count = len(keys)
+    columns: List[list] = []
+    for width in widths:
+        rows = [row for row, key in enumerate(keys) if len(key) == width]
+        parts = apply([keys[row] for row in rows], width)
+        if not columns:
+            columns = [[0] * count for _ in parts]
+        for column, part in zip(columns, parts):
+            for row, value in zip(rows, part):
+                column[row] = value
+    return columns
 
 
 def crc32_partition(

@@ -30,12 +30,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from itertools import compress
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import FlowLUTConfig
 from repro.core.dlu import DataLookupUnit
 from repro.core.flow_match import FlowMatch
-from repro.core.flow_state import FlowStateTable
+from repro.core.flow_state import FlowRecord, FlowStateTable
 from repro.core.hash_cam import HashCamTable, LookupStage
 from repro.core.sequencer import Sequencer
 from repro.core.update import UpdateBlock
@@ -82,6 +83,67 @@ class LookupOutcome:
         return self.latency_ps / 1000.0
 
 
+FlowPair = Tuple[bytes, Optional[FlowRecord]]
+"""One flow as tables exchange it: the engine key bytes the table stores and
+its flow-state record (``None`` for a bare entry, e.g. a preloaded key)."""
+
+
+class MovedFlows:
+    """Flows taken out of tables, as columns: what migration hands around.
+
+    ``pairs`` are the ``(key_bytes, record)`` pairs in extraction order;
+    ``indices`` is ``(index1s, index2s, family)`` — each pair's Mem1/Mem2
+    bucket indices and the :attr:`~repro.core.hash_cam.HashCamTable.index_family`
+    they were hashed under — or ``None`` when they are not known.  Iterating
+    yields the pairs.
+    """
+
+    __slots__ = ("pairs", "indices")
+
+    def __init__(self, pairs: List[FlowPair], indices=None) -> None:
+        self.pairs = pairs
+        self.indices = indices
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def __iter__(self):
+        return iter(self.pairs)
+
+    def keys(self) -> List[bytes]:
+        return [key_bytes for key_bytes, _ in self.pairs]
+
+    def take(self, rows: Sequence[int]) -> "MovedFlows":
+        """The given rows, in the given order, with their indices."""
+        pairs = self.pairs
+        indices = self.indices
+        if indices is not None:
+            index1s, index2s, family = indices
+            indices = ([index1s[row] for row in rows], [index2s[row] for row in rows], family)
+        return MovedFlows([pairs[row] for row in rows], indices)
+
+    @classmethod
+    def concat(cls, parts: Sequence["MovedFlows"]) -> "MovedFlows":
+        """The parts one after another.  The indices survive only when every
+        non-empty part carries them under one family."""
+        parts = [part for part in parts if part.pairs]
+        if len(parts) == 1:
+            return parts[0]
+        pairs: List[FlowPair] = []
+        for part in parts:
+            pairs.extend(part.pairs)
+        indices = None
+        if parts and all(part.indices is not None for part in parts):
+            family = parts[0].indices[2]
+            if all(part.indices[2] == family for part in parts):
+                index1s: List[int] = []
+                index2s: List[int] = []
+                for part in parts:
+                    index1s.extend(part.indices[0])
+                    index2s.extend(part.indices[1])
+                indices = (index1s, index2s, family)
+        return cls(pairs, indices)
+
 
 class FlowTable:
     """The functional Flow LUT: the table the engine and cluster tiers run.
@@ -126,18 +188,112 @@ class FlowTable:
         """Populate the table functionally (no simulated time).
 
         Used to model an already-built table, e.g. Table II-B's "table
-        occupied with 10K entries".  Returns the number of keys actually
-        inserted (duplicates and overflow failures are not counted).
+        occupied with 10K entries".  The keys (bytes, or descriptors) go
+        through :meth:`install` as bare entries — one column hash for the
+        lot.  Returns the number of keys actually inserted (duplicates and
+        overflow failures are not counted).
         """
-        inserted = 0
-        for key in keys:
-            key_bytes = key.key_bytes if isinstance(key, PacketDescriptor) else key
-            result = self.table.insert(key_bytes)
-            if result.inserted:
-                inserted += 1
-                if result.flow_id is not None:
-                    self._live_keys[result.flow_id] = key_bytes
-        return inserted
+        pairs = [
+            (key.key_bytes if isinstance(key, PacketDescriptor) else key, None) for key in keys
+        ]
+        return self.install(pairs).count(1)
+
+    def install(self, pairs: Sequence[FlowPair], indices=None) -> bytearray:
+        """Install ``(key_bytes, record | None)`` pairs, strictly in order.
+
+        The one install body: :meth:`preload`, :meth:`restore_flow`,
+        snapshot restore (:mod:`repro.persist`), the sharded engine and the
+        cluster's migration and recovery all come through here.  Functional
+        (no simulated time).  Three steps:
+
+        1. The keys are hashed as one column
+           (:meth:`HashCamTable.list_hash_indices`), unless ``indices`` —
+           ``(index1s, index2s, family)``, lists of Python ints from a table
+           whose :attr:`~HashCamTable.index_family` equals this table's —
+           already holds them; indices of another family are ignored and
+           the keys rehashed.
+        2. The index columns become Python lists once.
+        3. Per pair, in input order: one CAM probe, at most two bucket
+           scans, then either the key is present — its record, if any, is
+           folded into the resident one (or adopted when there is none) —
+           or it is placed with :meth:`HashCamTable._place` and registered
+           as live, its record adopted under the new location-derived ID.
+
+        The table's ``lookups`` / ``stage_hits``, the CAM's ``searches`` /
+        ``hits`` and ``insert_failures`` move exactly as a per-key
+        :meth:`HashCamTable.insert` would move them.  A later pair sees
+        every earlier one, so a key repeated within one call folds.
+
+        Returns one flag per pair: 1 when it was installed — its key newly
+        placed, or present with a record to fold or adopt — and 0 for a
+        bare key already present or a key the table could not place (the
+        caller accounts such a flow as lost).
+        """
+        count = len(pairs)
+        table = self.table
+        if indices is not None and indices[2] == table.index_family:
+            index1s, index2s, _ = indices
+            if len(index1s) != count or len(index2s) != count:
+                raise ValueError(
+                    f"indices have {len(index1s)} and {len(index2s)} rows, pairs {count}"
+                )
+        else:
+            index1s, index2s = table.list_hash_indices([key for key, _ in pairs])
+
+        cam = table.cam
+        cam_get = cam._entries.get
+        mem1_get, mem2_get = (memory.get for memory in table._memories)
+        place = table._place
+        miss = LookupStage.MISS
+        flow_state = self.flow_state
+        live_keys = self._live_keys
+        installed = bytearray(count)
+        cam_hits = mem1_hits = mem2_hits = 0
+        for row, ((key, record), index1, index2) in enumerate(zip(pairs, index1s, index2s)):
+            flow_id = cam_get(key)
+            if flow_id is not None:
+                flow_id = int(flow_id)
+                cam_hits += 1
+            else:
+                for entry in mem1_get(index1, ()):
+                    if entry.key == key:
+                        flow_id = entry.flow_id
+                        mem1_hits += 1
+                        break
+                else:
+                    for entry in mem2_get(index2, ()):
+                        if entry.key == key:
+                            flow_id = entry.flow_id
+                            mem2_hits += 1
+                            break
+                    else:
+                        stage, flow_id, _, _, _ = place(key, index1, index2, index1 & 1, None)
+                        if stage is not miss:
+                            installed[row] = 1
+                            live_keys[flow_id] = key
+                            if record is not None and flow_state is not None:
+                                flow_state.adopt(flow_id, record)
+                        continue
+            if record is not None:
+                installed[row] = 1
+                if flow_state is not None:
+                    if flow_state.get(flow_id) is None:
+                        flow_state.adopt(flow_id, record)
+                    else:
+                        flow_state.fold(flow_id, record)
+
+        # What the per-key insert() calls would have counted: one lookup and
+        # one CAM search per pair, and the stage each resolved at.
+        found = cam_hits + mem1_hits + mem2_hits
+        cam.searches += count
+        cam.hits += cam_hits
+        table.lookups += count
+        stage_hits = table.stage_hits
+        stage_hits[LookupStage.CAM] += cam_hits
+        stage_hits[LookupStage.MEM1] += mem1_hits
+        stage_hits[LookupStage.MEM2] += mem2_hits
+        stage_hits[miss] += count - found
+        return installed
 
     def process_block(self, block, hash_columns=None):
         """Bulk-probe every row of a :class:`~repro.columns.DescriptorBlock`.
@@ -359,40 +515,64 @@ class FlowTable:
         }
 
     def restore_flow(self, record, key_bytes: Optional[bytes] = None) -> bool:
-        """Re-home a migrated flow: functional insert plus state adoption.
+        """Re-home one flow record: a one-pair :meth:`install`.
 
-        The cluster layer moves live flows between nodes when the ring
-        changes.  Like :meth:`preload` this is functional (no simulated
-        time): the key is inserted into the table, registered as live, and —
-        when a flow-state table is attached — the record is adopted under
-        the location-derived flow ID the new placement yields, keeping its
-        accumulated packet/byte counters.  ``key_bytes`` must be the engine
-        key the old owner's table stored (see :meth:`live_key`); it defaults
-        to the standard 5-tuple packing for callers outside the migration
-        path.  If the key already lives here (e.g. a packet of the flow
-        arrived before its state did), the migrated counters are folded into
-        the existing record.  Returns ``False`` only when the table cannot
-        place the key (overflow), in which case the caller must account the
-        flow as lost.
+        Functional (no simulated time): the key is inserted into the table,
+        registered as live, and — when a flow-state table is attached — the
+        record is adopted under the location-derived flow ID the new
+        placement yields, keeping its accumulated packet/byte counters.
+        ``key_bytes`` must be the engine key the old owner's table stored
+        (see :meth:`live_key`); it defaults to the standard 5-tuple packing.
+        If the key already lives here (e.g. a packet of the flow arrived
+        before its state did), the counters are folded into the existing
+        record.  Returns ``False`` only when the table cannot place the key
+        (overflow), in which case the caller must account the flow as lost.
+        Bulk callers hand :meth:`install` all their pairs at once instead.
         """
         if key_bytes is None:
             key_bytes = record.key.pack()
-        result = self.table.insert(key_bytes)
-        if result.already_present:
-            if self.flow_state is not None and result.flow_id is not None:
-                existing = self.flow_state.get(result.flow_id)
-                if existing is None:
-                    self.flow_state.adopt(result.flow_id, record)
-                else:
-                    self.flow_state.fold(result.flow_id, record)
-            return True
-        if not result.inserted:
-            return False
-        if result.flow_id is not None:
-            self._live_keys[result.flow_id] = key_bytes
-            if self.flow_state is not None:
-                self.flow_state.adopt(result.flow_id, record)
-        return True
+        return bool(self.install([(key_bytes, record)])[0])
+
+    def extract_flows(self, select=None) -> "MovedFlows":
+        """Detach and delete the live flows ``select`` picks, as columns.
+
+        The flow-state records that have a table entry are walked once, in
+        flow-state iteration order, into one key column; ``select(keys)``
+        (``None`` takes all) returns one truthy flag per key.  The picked
+        keys are hashed as one column, deleted with those indices
+        (:meth:`HashCamTable.delete_rows`, functional: no DRAM write is
+        charged, even on a timed :class:`FlowLUT`) and their records
+        detached — not exported, the flows are moving, not ending.  The
+        returned :class:`MovedFlows` carries the pairs and the indices, so
+        a receiver of the same :attr:`~HashCamTable.index_family` installs
+        them without hashing again.
+        """
+        state = self.flow_state
+        if state is None:
+            return MovedFlows([])
+        live_get = self._live_keys.get
+        pairs = [
+            (key_bytes, record)
+            for record in state
+            if (key_bytes := live_get(record.flow_id)) is not None
+        ]
+        keys = [key_bytes for key_bytes, _ in pairs]
+        if select is not None and keys:
+            mask = select(keys)
+            pairs = list(compress(pairs, mask))
+            keys = list(compress(keys, mask))
+        if not keys:
+            return MovedFlows([])
+        table = self.table
+        index1s, index2s = table.list_hash_indices(keys)
+        detach = state.detach
+        for key_bytes, record in pairs:
+            detach(record.flow_id)
+        pop_live = self._live_keys.pop
+        for flow_id in table.delete_rows(keys, index1s, index2s):
+            if flow_id is not None:
+                pop_live(flow_id, None)
+        return MovedFlows(pairs, (index1s, index2s, table.index_family))
 
     # ------------------------------------------------------------------ #
     # Deletion and housekeeping

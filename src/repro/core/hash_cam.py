@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cam.bcam import BinaryCAM
 from repro.core.config import FlowLUTConfig
@@ -127,6 +127,29 @@ class HashCamTable:
         if isinstance(h1, list):
             return [v % buckets for v in h1], [v % buckets for v in h2]
         return h1 % buckets, h2 % buckets
+
+    def list_hash_indices(self, keys: Sequence[bytes]) -> Tuple[List[int], List[int]]:
+        """:meth:`hash_indices` of every key of a list, as two lists of Python ints.
+
+        The keys are packed and hashed by :meth:`column_hash_indices` once
+        per distinct key width; a width the column hashers cannot take (an
+        empty key, or one wider than ``key_bits``) goes through
+        :meth:`hash_indices` key by key, which is what accepts it.
+        """
+        from repro.columns.hashing import key_list_columns
+
+        index1s, index2s = key_list_columns(
+            keys, self.column_hash_indices, self.hash_indices, self.config.key_bits // 8
+        )
+        return index1s, index2s
+
+    @property
+    def index_family(self) -> tuple:
+        """What decides this table's bucket indices: the bucket count and the
+        two hash functions' matrices.  Tables with equal families map every
+        key to the same indices, so index columns hashed for one are valid
+        for the other (migration hands them from table to table)."""
+        return (self.buckets_per_memory, *(fn.matrix for fn in self._hashes))
 
     def bucket_entries_at(self, memory: int, bucket: int) -> List[TableEntry]:
         """The entries currently stored at ``(memory, bucket)`` (copy)."""
@@ -335,6 +358,55 @@ class HashCamTable:
                         del self._memories[memory][bucket]
                     return True
         return False
+
+    def delete_rows(
+        self, keys: Sequence[bytes], index1s: Sequence[int], index2s: Sequence[int]
+    ) -> List[Optional[int]]:
+        """Delete a column of keys whose bucket indices the caller holds.
+
+        Row by row this is :meth:`lookup` then :meth:`delete` — the counters
+        move exactly as those calls move them — without the per-key result
+        object or the second search.  Returns each key's flow ID, or
+        ``None`` for a key that was not in the table.
+        """
+        cam = self.cam
+        cam_entries = cam._entries
+        memories = self._memories
+        stage_counts = [0, 0, 0, 0]  # CAM, MEM1, MEM2, MISS
+        flow_ids: List[Optional[int]] = []
+        for key, index1, index2 in zip(keys, index1s, index2s):
+            value = cam_entries.pop(key, None)
+            if value is not None:
+                stage_counts[0] += 1
+                flow_ids.append(int(value))
+                continue
+            for memory, bucket in ((0, index1), (1, index2)):
+                entries = memories[memory].get(bucket)
+                if not entries:
+                    continue
+                for slot, entry in enumerate(entries):
+                    if entry.key == key:
+                        break
+                else:
+                    continue
+                del entries[slot]
+                if not entries:
+                    del memories[memory][bucket]
+                self._occupancy[memory] -= 1
+                stage_counts[1 + memory] += 1
+                flow_ids.append(entry.flow_id)
+                break
+            else:
+                stage_counts[3] += 1
+                flow_ids.append(None)
+        count = len(flow_ids)
+        self.lookups += count
+        cam.searches += count
+        cam.hits += stage_counts[0]
+        cam.deletions += stage_counts[0]
+        for stage, hits in zip(LookupStage, stage_counts):
+            self.stage_hits[stage] += hits
+        return flow_ids
 
     def __contains__(self, key: bytes) -> bool:
         return self.lookup(key).found

@@ -25,13 +25,13 @@ cycle-accurate figure; the cycle-accurate multi-device figures come from
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.columns import backend as col_backend
 from repro.columns.block import DescriptorBlock, OutcomeBlock
-from repro.columns.hashing import crc32_partition
+from repro.columns.hashing import crc32_column, crc32_partition, key_list_columns
 from repro.core.config import FlowLUTConfig
-from repro.core.flow_lut import FlowTable
+from repro.core.flow_lut import FlowPair, FlowTable, MovedFlows
 from repro.core.flow_state import FlowRecord, FlowStateTable
 from repro.hashing.crc import CRC32
 from repro.net.parser import PacketDescriptor
@@ -265,12 +265,46 @@ class ShardedFlowLUT:
     # ------------------------------------------------------------------ #
 
     def preload(self, keys) -> int:
-        """Functionally pre-populate the shards (no simulated time)."""
-        groups: List[List[bytes]] = [[] for _ in range(self.num_shards)]
-        for key in keys:
-            key_bytes = key.key_bytes if isinstance(key, PacketDescriptor) else key
-            groups[self.shard_of(key_bytes)].append(key_bytes)
-        return sum(shard.preload(group) for shard, group in zip(self.shards, groups))
+        """Functionally pre-populate the shards (no simulated time): the keys
+        go through :meth:`install` as bare entries."""
+        pairs = [
+            (key.key_bytes if isinstance(key, PacketDescriptor) else key, None) for key in keys
+        ]
+        return self.install(pairs).count(1)
+
+    def install(self, pairs: Sequence[FlowPair], indices=None) -> bytearray:
+        """Install ``(key_bytes, record | None)`` pairs on their shards.
+
+        The engine entrance to :meth:`FlowTable.install
+        <repro.core.flow_lut.FlowTable.install>`: the keys are CRC-32
+        steered as one column, bucket-hashed as one column (every shard
+        shares the seed and geometry) unless ``indices`` already holds
+        them, and each shard installs its rows in input order.  Returns the
+        per-pair installed flags in input order.
+        """
+        if self.num_shards == 1:
+            return self.shards[0].install(pairs, indices)
+        installed = bytearray(len(pairs))
+        if not pairs:
+            return installed
+        keys = [key_bytes for key_bytes, _ in pairs]
+        if indices is None:
+            table = self.shards[0].table
+            indices = (*table.list_hash_indices(keys), table.index_family)
+        (tokens,) = key_list_columns(
+            keys, lambda *column: (crc32_column(*column),), lambda key: (CRC32.hash(key),)
+        )
+        rows_by_shard: List[List[int]] = [[] for _ in self.shards]
+        shards = self.num_shards
+        for row, token in enumerate(tokens):
+            rows_by_shard[token % shards].append(row)
+        flows = MovedFlows(list(pairs), indices)
+        for shard, rows in zip(self.shards, rows_by_shard):
+            if rows:
+                part = flows.take(rows)
+                for row, flag in zip(rows, shard.install(part.pairs, part.indices)):
+                    installed[row] = flag
+        return installed
 
     def process_batch(self, descriptors):
         """Run one batch through all shards and merge the outcomes.
@@ -417,16 +451,6 @@ class ShardedFlowLUT:
     def delete_flow(self, key_bytes: bytes) -> bool:
         """Remove one flow entry on its owning shard (routed, not fanned out)."""
         return self.shards[self.shard_of(key_bytes)].delete_flow(key_bytes)
-
-    def restore_flow(self, record: FlowRecord, key_bytes: Optional[bytes] = None) -> bool:
-        """Re-home a migrated flow record onto its owning shard.
-
-        ``key_bytes`` is the engine key the record was stored under on its
-        previous owner (defaults to the standard 5-tuple packing).
-        """
-        if key_bytes is None:
-            key_bytes = record.key.pack()
-        return self.shards[self.shard_of(key_bytes)].restore_flow(record, key_bytes)
 
     def run_housekeeping(
         self,

@@ -555,10 +555,14 @@ def restore_flow_lut(lut: FlowTable, snapshot) -> int:
     ``snapshot`` is the raw frame or a :class:`FlowLUTSnapshot`.  The
     target must share the snapshot's hash seed and bucket geometry —
     mirroring the merge guards — because the live-key map is only
-    meaningful for the hash family that placed it.  Restoration is
-    functional (no simulated time), like ``preload``; flow IDs are
-    location-derived and may differ from the originals, but every key is
-    live again and every record keeps its accumulated counters.
+    meaningful for the hash family that placed it.  Restoration is one
+    :meth:`~repro.core.flow_lut.FlowTable.install` of the snapshot's
+    entries in stored order — one column hash, functional (no simulated
+    time), like ``preload``.  Flow IDs are location-derived and may differ
+    from the originals, but every key is live again and every record keeps
+    its accumulated counters.  A bare (record-less) entry counts as
+    installed when its key was placed, a record when it was placed or
+    folded into a resident one.
     """
     if isinstance(snapshot, (bytes, bytearray, memoryview)):
         snapshot = loads(bytes(snapshot))
@@ -568,7 +572,7 @@ def restore_flow_lut(lut: FlowTable, snapshot) -> int:
         "Flow LUT", snapshot.config_seed, snapshot.buckets_per_memory,
         lut.config.seed, lut.table.buckets_per_memory,
     )
-    return _install_entries(snapshot.entries, lut.restore_flow, lut.preload)
+    return lut.install(snapshot.entries).count(1)
 
 
 def restore_sharded(engine: ShardedFlowLUT, snapshot) -> int:
@@ -577,7 +581,8 @@ def restore_sharded(engine: ShardedFlowLUT, snapshot) -> int:
     Flows re-partition through ``shard_of`` on the way back in, so the
     target may even run a *different shard count* than the snapshot came
     from — key-hash pinning makes the placement self-describing.  Per-LUT
-    hash seed and bucket geometry must still match.
+    hash seed and bucket geometry must still match.  The entries go
+    through one :meth:`~repro.engine.sharded.ShardedFlowLUT.install`.
     """
     if isinstance(snapshot, (bytes, bytearray, memoryview)):
         snapshot = loads(bytes(snapshot))
@@ -587,17 +592,7 @@ def restore_sharded(engine: ShardedFlowLUT, snapshot) -> int:
         "sharded engine", snapshot.config_seed, snapshot.buckets_per_memory,
         engine.config.seed, engine.shards[0].table.buckets_per_memory,
     )
-    return _install_entries(snapshot.entries, engine.restore_flow, engine.preload)
-
-
-def _install_entries(entries, restore_flow, preload) -> int:
-    installed = 0
-    for key_bytes, record in entries:
-        if record is None:
-            installed += preload([key_bytes])
-        elif restore_flow(record, key_bytes):
-            installed += 1
-    return installed
+    return engine.install(snapshot.entries).count(1)
 
 
 # --------------------------------------------------------------------------- #

@@ -27,14 +27,28 @@ def each_backend():
 @pytest.fixture
 def count_hash_calls():
     """A callable that wraps ``hash_indices`` of the given Hash-CAM tables
-    and returns the one list every wrapped call appends its key to."""
+    and returns the one list every wrapped call appends its key to.
 
-    def wrap(*tables):
+    With ``column_rows=True`` it also wraps ``column_hash_indices``, which
+    then appends every key of the packed column it hashes: the list counts
+    each key hashed, whether alone or as a row of a column."""
+
+    def wrap(*tables, column_rows=False):
         calls = []
         for table in tables:
             table.hash_indices = lambda key, inner=table.hash_indices: (
                 calls.append(key) or inner(key)
             )
+            if column_rows:
+                table.column_hash_indices = (
+                    lambda key_data, count, width, inner=table.column_hash_indices: (
+                        calls.extend(
+                            bytes(key_data[row * width : (row + 1) * width])
+                            for row in range(count)
+                        )
+                        or inner(key_data, count, width)
+                    )
+                )
         return calls
 
     return wrap

@@ -6,15 +6,26 @@ import pytest
 
 from repro.cluster import ClusterCoordinator, ClusterNode, HashRing
 from repro.core.config import small_test_config
-from repro.core.flow_lut import FlowLUT
+from repro.core.flow_lut import FlowLUT, FlowTable
+from repro.core.flow_state import FlowStateTable
+from repro.core.hash_cam import HashCamTable
 from repro.engine import ShardedFlowLUT, run_scenario_single
 from repro.obs import Observability
-from repro.persist import dump_node_snapshot, dump_sharded, restore_sharded
+from repro.columns import DescriptorBlock
+from repro.persist import (
+    dump_flow_lut,
+    dump_node_snapshot,
+    dump_sharded,
+    restore_flow_lut,
+    restore_sharded,
+)
 from repro.reporting import run_cluster_scaling
 from repro.sim.engine import Simulator
 from repro.telemetry import TelemetryConfig, TelemetryPipeline
 from repro.traffic import (
+    descriptors_from_keys,
     generate_scenario,
+    random_flow_keys,
     list_scenarios,
     scenario_block,
     scenario_descriptors,
@@ -495,3 +506,78 @@ def test_a_standalone_sharded_engine_constructs_no_simulator(simulators_built):
     twin.attach_flow_state()
     assert restore_sharded(twin, dump_sharded(engine)) == len(engine.live_flow_pairs())
     assert simulators_built == []
+
+
+# --------------------------------------------------------------------------- #
+# Migration and restore are column operations
+# --------------------------------------------------------------------------- #
+
+
+@pytest.fixture
+def per_key_calls(monkeypatch):
+    """Counts of the per-key calls a column migration or restore must not
+    make: scalar ``HashCamTable.hash_indices`` and ``ClusterCoordinator.owner_of``."""
+    counts = {"hash_indices": 0, "owner_of": 0}
+    for cls, name in ((HashCamTable, "hash_indices"), (ClusterCoordinator, "owner_of")):
+        def counting(self, *args, _inner=getattr(cls, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _inner(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counting)
+    return counts
+
+
+def test_a_join_with_pins_hashes_and_places_by_column(per_key_calls):
+    descriptors = scenario_descriptors("zipf_mix", 1200, seed=31)
+    coordinator = ClusterCoordinator(nodes=4, config=CONFIG, telemetry=False)
+    coordinator.ingest(descriptors)
+    keys = sorted({d.key_bytes for d in descriptors})
+    pins = {key: f"node{index % 4}" for index, key in enumerate(keys[:12])}
+    coordinator.pin_flows(pins)
+    active = coordinator.active_flows
+    per_key_calls.update(hash_indices=0, owner_of=0)
+    assert coordinator.add_node("joiner")["migrated"] > 0
+    assert per_key_calls == {"hash_indices": 0, "owner_of": 0}
+    assert coordinator.active_flows == active and coordinator.flow_books()["balanced"]
+    for key, target in pins.items():
+        engine = coordinator.nodes[target].engine
+        assert key in {key_bytes for key_bytes, _ in engine.live_flow_pairs()}
+    for node_id, node in coordinator.nodes.items():
+        for key_bytes, _ in node.engine.live_flow_pairs():
+            assert coordinator.owner_of(key_bytes) == node_id
+
+
+def test_a_checkpoint_failover_restores_by_column(per_key_calls):
+    descriptors = scenario_descriptors("zipf_mix", 1200, seed=32)
+    coordinator = ClusterCoordinator(nodes=3, config=CONFIG, telemetry=False)
+    coordinator.ingest(descriptors[:800])
+    coordinator.checkpoint_all()
+    coordinator.ingest(descriptors[800:])
+    victim = max(coordinator.nodes, key=lambda node_id: coordinator.nodes[node_id].active_flows)
+    per_key_calls.update(hash_indices=0, owner_of=0)
+    event = coordinator.fail_node(victim)
+    assert event["recovery"] == "checkpoint" and event["restored"] > 0
+    assert per_key_calls == {"hash_indices": 0, "owner_of": 0}
+
+
+def test_a_flow_lut_restore_hashes_by_column_and_matches_a_per_key_restore(per_key_calls):
+    """An 11 000-entry frame (Table II(B)'s occupied table plus headroom):
+    1 000 bare preloaded keys and 10 000 flows with records."""
+    keys = random_flow_keys(11_000, seed=33)
+    source = FlowTable(CONFIG, flow_state=FlowStateTable())
+    source.preload([d.key_bytes for d in descriptors_from_keys(keys[:1000])])
+    source.process_block(DescriptorBlock.from_descriptors(descriptors_from_keys(keys[1000:])))
+    frame = dump_flow_lut(source)
+
+    per_key_calls.update(hash_indices=0)
+    bulk = FlowLUT(CONFIG, flow_state=FlowStateTable())
+    assert restore_flow_lut(bulk, frame) == 11_000
+    assert per_key_calls["hash_indices"] == 0
+
+    per_key = FlowLUT(CONFIG, flow_state=FlowStateTable())
+    for key_bytes, record in source.live_flow_pairs():
+        if record is None:
+            per_key.preload([key_bytes])
+        else:
+            per_key.restore_flow(replace(record), key_bytes)
+    assert dump_flow_lut(bulk) == dump_flow_lut(per_key)

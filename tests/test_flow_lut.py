@@ -159,27 +159,46 @@ def test_explicit_delete_flow():
 
 
 def test_migration_paths_hash_each_key_once_per_table_operation(count_hash_calls):
-    """``delete_flow`` / ``restore_flow`` / ``preload`` reach ``hash_indices``
-    once per key, so a flow moved by ``extract_flows`` + ``absorb_flows``
-    costs two hashes (one on each side)."""
+    """``delete_flow`` / ``restore_flow`` / ``preload`` hash each key once,
+    alone or as a row of a column; a flow moved by ``extract_flows`` +
+    ``absorb_flows`` is hashed once in all — the source's bucket indices
+    travel with it to the target, whose table shares the seed and geometry."""
     descriptors = descriptors_from_keys(random_flow_keys(6, seed=21))
     source = ClusterNode("a", config=small_test_config(), telemetry=False)
     target = ClusterNode("b", config=small_test_config(), telemetry=False)
     source.engine.process_batch(descriptors)
     moving = descriptors[0].key_bytes
-    calls = count_hash_calls(source.engine.shards[0].table, target.engine.shards[0].table)
-    extracted = source.extract_flows(lambda key_bytes, record: key_bytes == moving)
+    calls = count_hash_calls(
+        source.engine.shards[0].table, target.engine.shards[0].table, column_rows=True
+    )
+    extracted = source.extract_flows(lambda keys: [key_bytes == moving for key_bytes in keys])
     assert [key_bytes for key_bytes, _ in extracted] == [moving]
     assert target.absorb_flows(extracted) == (1, 0)
-    assert len(calls) == 2
+    assert calls == [moving]
 
     lut = target.engine.shards[0]
-    record = extracted[0][1]
-    assert lut.delete_flow(moving) and len(calls) == 3
-    assert not lut.delete_flow(moving) and len(calls) == 4
-    assert lut.restore_flow(record, moving) and len(calls) == 5
-    assert lut.restore_flow(record, moving) and len(calls) == 6  # already present: folded
-    assert lut.preload([d.key_bytes for d in descriptors]) == 5 and len(calls) == 12
+    record = extracted.pairs[0][1]
+    assert lut.delete_flow(moving) and len(calls) == 2
+    assert not lut.delete_flow(moving) and len(calls) == 3
+    assert lut.restore_flow(record, moving) and len(calls) == 4
+    assert lut.restore_flow(record, moving) and len(calls) == 5  # already present: folded
+    assert lut.preload([d.key_bytes for d in descriptors]) == 5 and len(calls) == 11
+
+
+def test_migrated_indices_of_another_hash_family_are_rehashed(count_hash_calls):
+    """A target whose table hashes differently (another seed) ignores the
+    travelling indices and hashes the moved keys itself."""
+    descriptors = descriptors_from_keys(random_flow_keys(6, seed=21))
+    source = ClusterNode("a", config=small_test_config(), telemetry=False)
+    target = ClusterNode("b", config=small_test_config(seed=99), telemetry=False)
+    source.engine.process_batch(descriptors)
+    calls = count_hash_calls(target.engine.shards[0].table, column_rows=True)
+    extracted = source.extract_flows()
+    assert target.absorb_flows(extracted) == (6, 0)
+    assert sorted(calls) == sorted(d.key_bytes for d in descriptors)
+    table = target.engine.shards[0].table
+    for descriptor in descriptors:
+        assert table.lookup(descriptor.key_bytes).found
 
 
 def test_cam_stage_resolves_without_memory_reads():
