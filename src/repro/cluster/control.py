@@ -415,9 +415,9 @@ class ClusterControl:
         floor = policy.hot_flow_share * total
         candidates: List[Tuple[float, bytes]] = []
         node = self.coordinator.nodes[hot_id]
-        for key_bytes, record in node.engine.live_flow_pairs():
-            if record is None:
-                continue
+        # The node's live flows with state (bare entries have no count); the
+        # sort below is total, so the walk's order does not matter.
+        for key_bytes in node.engine.live_packet_counts():
             delta = self._flow_delta(key_bytes)
             if delta >= floor:
                 candidates.append((delta, key_bytes))

@@ -985,7 +985,7 @@ class ClusterCoordinator:
         replacement first, then fail the old node).
         """
         node = self._pop_member(node_id, action="fail")
-        live_keys = {key for key, _ in node.engine.live_flow_pairs()}
+        live_keys = set(node.engine.live_keys())
 
         # Gather the recovery material before anything is torn down; the
         # victim's live-key set is the promotion filter (copies of flows

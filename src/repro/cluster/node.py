@@ -141,7 +141,7 @@ class ClusterNode:
         the engine path has no event engine, so the expired records are
         picked out of each shard's export stream here and sized exactly
         once — migration uses :meth:`~repro.core.flow_state.FlowStateTable.
-        detach`, which does not export, so moved flows never appear.
+        detach_rows`, which does not export, so moved flows never appear.
         ``expired_out`` collects the expired ``(key_bytes, record)`` pairs
         (the coordinator purges replica copies with them).
         """
@@ -198,13 +198,14 @@ class ClusterNode:
         per key (the coordinator tests ownership by column with it).  The
         keys are the *engine* keys the flow tables stored (the descriptor
         extractor's field packing — the same bytes the ring steers on).
-        The picked flows' records are detached (not exported — the flows
+        The picked flows' state is detached as
+        :class:`~repro.core.flow_state.FlowRow` s (not exported — the flows
         are moving, not terminating) and their table entries deleted with
         bucket indices hashed once for the column
         (:meth:`FlowTable.extract_flows
         <repro.core.flow_lut.FlowTable.extract_flows>`), so this node stops
         claiming them.  The returned :class:`~repro.core.flow_lut.MovedFlows`
-        carries the ``(key_bytes, record)`` pairs and those indices; the
+        carries the ``(key_bytes, row)`` pairs and those indices; the
         caller re-homes them with :meth:`absorb_flows` on the new owner.
         """
         extracted = MovedFlows.concat(

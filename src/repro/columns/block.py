@@ -41,7 +41,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from repro.columns import backend
 from repro.core.hash_cam import LookupStage
 from repro.net.fivetuple import FLOW_KEY_BYTES, FlowKey
-from repro.net.parser import FIVE_TUPLE_STRUCT, PacketDescriptor, flow_key_from_engine_key
+from repro.net.parser import PacketDescriptor, engine_key_from_flow_key, flow_key_from_engine_key
 
 ENGINE_KEY_WIDTH = FLOW_KEY_BYTES
 """Bytes per key in the engine layout (13 for the IPv4 5-tuple)."""
@@ -58,10 +58,6 @@ STAGES: Tuple[LookupStage, ...] = (
 """Stage-code table: ``STAGES[code]`` is the stage an outcome column stores."""
 
 STAGE_CODES = {stage: code for code, stage in enumerate(STAGES)}
-
-
-def _engine_key(key: FlowKey) -> bytes:
-    return FIVE_TUPLE_STRUCT.pack(key.dst_ip, key.src_ip, key.dst_port, key.src_port, key.protocol)
 
 
 def _column(values: Sequence[int], typecode: str, dtype: str):
@@ -118,7 +114,7 @@ class DescriptorBlock:
         timestamps: List[int] = []
         flags: List[int] = []
         for key, length, timestamp, tcp_flags in rows:
-            chunks.append(_engine_key(key))
+            chunks.append(engine_key_from_flow_key(key))
             lengths.append(length)
             timestamps.append(timestamp)
             flags.append(tcp_flags)
@@ -137,7 +133,7 @@ class DescriptorBlock:
         timestamps: List[int] = []
         flags: List[int] = []
         for descriptor in descriptors:
-            packed = _engine_key(descriptor.key)
+            packed = engine_key_from_flow_key(descriptor.key)
             if packed != descriptor.key_bytes:
                 raise ValueError(
                     "DescriptorBlock requires the standard 5-tuple key layout "

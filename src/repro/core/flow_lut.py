@@ -31,12 +31,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import FlowLUTConfig
 from repro.core.dlu import DataLookupUnit
 from repro.core.flow_match import FlowMatch
-from repro.core.flow_state import FlowRecord, FlowStateTable
+from repro.core.flow_state import FlowRecord, FlowRow, FlowStateTable
 from repro.core.hash_cam import HashCamTable, LookupStage
 from repro.core.sequencer import Sequencer
 from repro.core.update import UpdateBlock
@@ -83,15 +84,18 @@ class LookupOutcome:
         return self.latency_ps / 1000.0
 
 
-FlowPair = Tuple[bytes, Optional[FlowRecord]]
+FlowPair = Tuple[bytes, Union[FlowRecord, FlowRow, None]]
 """One flow as tables exchange it: the engine key bytes the table stores and
-its flow-state record (``None`` for a bare entry, e.g. a preloaded key)."""
+its flow state — a record, the :class:`~repro.core.flow_state.FlowRow` a
+migration carries, or ``None`` for a bare entry (e.g. a preloaded key)."""
 
 
 class MovedFlows:
     """Flows taken out of tables, as columns: what migration hands around.
 
-    ``pairs`` are the ``(key_bytes, record)`` pairs in extraction order;
+    ``pairs`` are the :data:`FlowPair` s in extraction order (a flow
+    extracted by :meth:`FlowTable.extract_flows` carries a
+    :class:`~repro.core.flow_state.FlowRow`);
     ``indices`` is ``(index1s, index2s, family)`` — each pair's Mem1/Mem2
     bucket indices and the :attr:`~repro.core.hash_cam.HashCamTable.index_family`
     they were hashed under — or ``None`` when they are not known.  Iterating
@@ -199,7 +203,8 @@ class FlowTable:
         return self.install(pairs).count(1)
 
     def install(self, pairs: Sequence[FlowPair], indices=None) -> bytearray:
-        """Install ``(key_bytes, record | None)`` pairs, strictly in order.
+        """Install :data:`FlowPair` s — ``(key_bytes, record | row | None)`` —
+        strictly in order.
 
         The one install body: :meth:`preload`, :meth:`restore_flow`,
         snapshot restore (:mod:`repro.persist`), the sharded engine and the
@@ -213,16 +218,18 @@ class FlowTable:
            already holds them; indices of another family are ignored and
            the keys rehashed.
         2. The index columns become Python lists once.
-        3. Per pair, in input order: one CAM probe, at most two bucket
-           scans, then either the key is present — its record, if any, is
-           folded into the resident one (or adopted when there is none) —
-           or it is placed with :meth:`HashCamTable._place` and registered
-           as live, its record adopted under the new location-derived ID.
+        3. Per pair, in input order: one key-index probe (the table's
+           ``key -> flow ID`` dict), then either the key is
+           present — its record or row, if any, is folded into the resident
+           state (or adopted when there is none) — or it is placed with
+           :meth:`HashCamTable._place` and registered as live, its state
+           adopted under the new location-derived ID.
 
         The table's ``lookups`` / ``stage_hits``, the CAM's ``searches`` /
         ``hits`` and ``insert_failures`` move exactly as a per-key
-        :meth:`HashCamTable.insert` would move them.  A later pair sees
-        every earlier one, so a key repeated within one call folds.
+        :meth:`HashCamTable.insert` would move them (a present key's stage
+        is the one its flow ID names).  A later pair sees every earlier
+        one, so a key repeated within one call folds.
 
         Returns one flag per pair: 1 when it was installed — its key newly
         placed, or present with a record to fold or adopt — and 0 for a
@@ -240,51 +247,43 @@ class FlowTable:
         else:
             index1s, index2s = table.list_hash_indices([key for key, _ in pairs])
 
-        cam = table.cam
-        cam_get = cam._entries.get
-        mem1_get, mem2_get = (memory.get for memory in table._memories)
+        index_get = table._index.get
         place = table._place
         miss = LookupStage.MISS
+        mem2_base = table.buckets_per_memory * table.bucket_entries
+        cam_base = table.cam_id_base
         flow_state = self.flow_state
         live_keys = self._live_keys
         installed = bytearray(count)
         cam_hits = mem1_hits = mem2_hits = 0
         for row, ((key, record), index1, index2) in enumerate(zip(pairs, index1s, index2s)):
-            flow_id = cam_get(key)
-            if flow_id is not None:
-                flow_id = int(flow_id)
-                cam_hits += 1
+            flow_id = index_get(key)
+            if flow_id is None:
+                stage, flow_id, _, _, _ = place(key, index1, index2, index1 & 1, None)
+                if stage is not miss:
+                    installed[row] = 1
+                    live_keys[flow_id] = key
+                    if record is not None and flow_state is not None:
+                        flow_state.adopt(flow_id, record)
+                continue
+            if flow_id < mem2_base:
+                mem1_hits += 1
+            elif flow_id < cam_base:
+                mem2_hits += 1
             else:
-                for entry in mem1_get(index1, ()):
-                    if entry.key == key:
-                        flow_id = entry.flow_id
-                        mem1_hits += 1
-                        break
-                else:
-                    for entry in mem2_get(index2, ()):
-                        if entry.key == key:
-                            flow_id = entry.flow_id
-                            mem2_hits += 1
-                            break
-                    else:
-                        stage, flow_id, _, _, _ = place(key, index1, index2, index1 & 1, None)
-                        if stage is not miss:
-                            installed[row] = 1
-                            live_keys[flow_id] = key
-                            if record is not None and flow_state is not None:
-                                flow_state.adopt(flow_id, record)
-                        continue
+                cam_hits += 1
             if record is not None:
                 installed[row] = 1
                 if flow_state is not None:
-                    if flow_state.get(flow_id) is None:
-                        flow_state.adopt(flow_id, record)
-                    else:
+                    if flow_id in flow_state:
                         flow_state.fold(flow_id, record)
+                    else:
+                        flow_state.adopt(flow_id, record)
 
         # What the per-key insert() calls would have counted: one lookup and
         # one CAM search per pair, and the stage each resolved at.
         found = cam_hits + mem1_hits + mem2_hits
+        cam = table.cam
         cam.searches += count
         cam.hits += cam_hits
         table.lookups += count
@@ -299,7 +298,7 @@ class FlowTable:
         """Bulk-probe every row of a :class:`~repro.columns.DescriptorBlock`.
 
         The *functional* hot path: rows resolve strictly in order against
-        the same three-stage table the timed path uses (CAM first, then
+        the same three-stage table contents the timed path walks (CAM, then
         each memory's bucket), and misses insert exactly as
         :meth:`FlowLUT._handle_full_miss` does — so totals, flow state, live
         keys and table contents match a timed :class:`FlowLUT`'s
@@ -311,15 +310,18 @@ class FlowTable:
         table's own clock, the last completion, advancing ``elapsed_ps``
         the way a saturated timed run would.
 
-        Each row is touched once.  Once per block: the keys are sliced,
-        the length / timestamp / flag columns and the two bucket-index
+        Once per block: the keys are sliced, the length / timestamp / flag
         columns become Python lists, and the CAM's ``searches`` / ``hits``
-        and this table's totals are credited.  Per row: one CAM probe,
-        at most two bucket scans, and — having missed all three — a direct
-        :meth:`HashCamTable._place` (no second search; the miss is credited
-        as :meth:`HashCamTable.insert` would).  Flow state gets the engine
-        key bytes, so a :class:`~repro.net.fivetuple.FlowKey` is built only
-        for rows that create a record.
+        and this table's totals are credited.  Per row: one key-index probe
+        (the table's ``key -> flow ID`` dict; a hit's stage is the one its
+        location-derived flow ID names) and — having missed — a direct
+        :meth:`HashCamTable._place` with the row's bucket indices (the index
+        columns become Python lists at the block's first miss; the miss is
+        credited as :meth:`HashCamTable.insert` would).  Flow state then
+        folds the block into its columns
+        (:meth:`~repro.core.flow_state.FlowStateTable.update_rows`) with the
+        engine key bytes, so no :class:`~repro.net.fivetuple.FlowKey` or
+        record is built.
 
         ``hash_columns`` optionally supplies precomputed
         ``(index1, index2)`` bucket-index columns — the sharded engine
@@ -341,10 +343,11 @@ class FlowTable:
             )
         if hash_columns is None:
             hash_columns = table.column_hash_indices(block.key_data, count, block.key_width)
-        index1s, index2s = (as_list(column) for column in hash_columns)
-        if len(index1s) != count or len(index2s) != count:
+        index1_col, index2_col = hash_columns
+        if len(index1_col) != count or len(index2_col) != count:
             raise ValueError(
-                f"hash_columns have {len(index1s)} and {len(index2s)} rows, block has {count}"
+                f"hash_columns have {len(index1_col)} and {len(index2_col)} rows, "
+                f"block has {count}"
             )
 
         base = self._last_complete_ps
@@ -352,74 +355,66 @@ class FlowTable:
         if count and self._first_submit_ps is None:
             self._first_submit_ps = base
 
-        cam = table.cam
-        cam_get = cam._entries.get
-        mem1_get, mem2_get = (memory.get for memory in table._memories)
+        index_get = table._index.get
         place = table._place
-        update = flow_state.update if flow_state is not None else None
         live_keys = self._live_keys
         insert_on_miss = self.config.insert_on_miss
         miss = LookupStage.MISS
-        code_cam = STAGE_CODES[LookupStage.CAM]
+        cam_stage = LookupStage.CAM
+        mem2_base = table.buckets_per_memory * table.bucket_entries
+        cam_base = table.cam_id_base
+        code_cam = STAGE_CODES[cam_stage]
         code_mem1 = STAGE_CODES[LookupStage.MEM1]
         code_mem2 = STAGE_CODES[LookupStage.MEM2]
         code_miss = STAGE_CODES[miss]
 
+        keys = block.keys()
+        index1s = index2s = None
         flow_ids: List[int] = []
         hits = bytearray(count)
         new_flows = bytearray(count)
         stages = bytearray(count)
-        cam_hits = 0
         placements = 0
+        cam_placements = 0
 
-        rows = zip(
-            block.keys(),
-            index1s,
-            index2s,
-            as_list(block.lengths),
-            as_list(block.timestamps),
-            as_list(block.flags),
-        )
-        for i, (key, index1, index2, length, timestamp, tcp_flags) in enumerate(rows):
-            flow_id = cam_get(key)
+        for i, key in enumerate(keys):
+            flow_id = index_get(key)
             if flow_id is not None:
-                flow_id = int(flow_id)
                 hits[i] = 1
-                stages[i] = code_cam
-                cam_hits += 1
-            else:
-                for entry in mem1_get(index1, ()):
-                    if entry.key == key:
-                        flow_id = entry.flow_id
-                        hits[i] = 1
-                        stages[i] = code_mem1
-                        break
+            elif insert_on_miss:
+                if index1s is None:
+                    index1s, index2s = as_list(index1_col), as_list(index2_col)
+                placements += 1
+                index1 = index1s[i]
+                stage, flow_id, _, _, _ = place(key, index1, index2s[i], index1 & 1, None)
+                if stage is miss:
+                    self.insert_failures += 1
+                    flow_id = -1
                 else:
-                    for entry in mem2_get(index2, ()):
-                        if entry.key == key:
-                            flow_id = entry.flow_id
-                            hits[i] = 1
-                            stages[i] = code_mem2
-                            break
-                    else:
-                        flow_id = -1
-                        stages[i] = code_miss
-                        if insert_on_miss:
-                            placements += 1
-                            stage, placed_id, _, _, _ = place(key, index1, index2, index1 & 1, None)
-                            if stage is miss:
-                                self.insert_failures += 1
-                            else:
-                                flow_id = placed_id
-                                new_flows[i] = 1
-                                stages[i] = STAGE_CODES[stage]
-                                live_keys[flow_id] = key
+                    new_flows[i] = 1
+                    live_keys[flow_id] = key
+                    if stage is cam_stage:
+                        cam_placements += 1
+            else:
+                flow_id = -1
             flow_ids.append(flow_id)
-            if update is not None and flow_id >= 0:
-                update(flow_id, key, length, timestamp, tcp_flags)
+            # The stage a location-derived ID names (-1: nowhere).
+            stages[i] = (
+                code_miss if flow_id < 0
+                else code_mem1 if flow_id < mem2_base
+                else code_mem2 if flow_id < cam_base
+                else code_cam
+            )
+        cam_hits = stages.count(code_cam) - cam_placements
+        if flow_state is not None:
+            flow_state.update_rows(
+                flow_ids, keys, as_list(block.lengths), as_list(block.timestamps),
+                as_list(block.flags),
+            )
 
         # What the per-row calls would have counted: one CAM search per row,
         # and for every placement the search insert() makes before it places.
+        cam = table.cam
         cam.searches += count + placements
         cam.hits += cam_hits
         table.lookups += placements
@@ -480,7 +475,11 @@ class FlowTable:
         a snapshot must carry so a warm restart can re-install exactly the
         keys the table held (:mod:`repro.persist`).
         """
-        return sorted(self._live_keys.items())
+        return sorted(self._live_keys.items(), key=itemgetter(0))
+
+    def live_keys(self) -> List[bytes]:
+        """Every live key's bytes, in live-key map order (no record built)."""
+        return list(self._live_keys.values())
 
     def live_flow_pairs(self) -> List[Tuple[bytes, Optional["FlowRecord"]]]:
         """Every live ``(key_bytes, record)`` pair of this table.
@@ -489,29 +488,33 @@ class FlowTable:
         without state (:meth:`preload`, or no table attached) appear with
         a ``None`` record.  This is the single definition of "what a
         snapshot must capture" — the sharded engine and the persist codecs
-        both build on it.
+        both build on it (the codecs pack the same join straight from the
+        flow-state columns).  Each record is built here, a snapshot.
         """
-        return [
-            (key_bytes, self.flow_state.get(flow_id) if self.flow_state is not None else None)
-            for flow_id, key_bytes in self.live_items()
-        ]
+        state = self.flow_state
+        if state is None:
+            return [(key_bytes, None) for _, key_bytes in self.live_items()]
+        get = state.get
+        return [(key_bytes, get(flow_id)) for flow_id, key_bytes in self.live_items()]
 
     def live_packet_counts(self) -> Dict[bytes, int]:
         """``{key_bytes: packets}`` for every live flow that has a record.
 
         The cheap counterpart of :meth:`live_flow_pairs` for a reader that
         wants only the cumulative packet counts (the control loop's per-window
-        marks): one unsorted pass over the live-key map joined with flow
-        state.  Keys without a record (preloaded, or no table attached) are
-        left out.
+        marks): one unsorted pass over the live-key map joined with the
+        flow-state packets column.  Keys without a record (preloaded, or no
+        table attached) are left out.
         """
-        if self.flow_state is None:
+        state = self.flow_state
+        if state is None:
             return {}
-        get = self.flow_state.get
+        row_of = state.rows.get
+        packets = state.packets
         return {
-            key_bytes: record.packets
+            key_bytes: packets[row]
             for flow_id, key_bytes in self._live_keys.items()
-            if (record := get(flow_id)) is not None
+            if (row := row_of(flow_id)) is not None
         }
 
     def restore_flow(self, record, key_bytes: Optional[bytes] = None) -> bool:
@@ -536,14 +539,15 @@ class FlowTable:
     def extract_flows(self, select=None) -> "MovedFlows":
         """Detach and delete the live flows ``select`` picks, as columns.
 
-        The flow-state records that have a table entry are walked once, in
-        flow-state iteration order, into one key column; ``select(keys)``
+        The flow-state rows that have a table entry are walked once, in
+        flow-state record order, into one key column; ``select(keys)``
         (``None`` takes all) returns one truthy flag per key.  The picked
         keys are hashed as one column, deleted with those indices
         (:meth:`HashCamTable.delete_rows`, functional: no DRAM write is
-        charged, even on a timed :class:`FlowLUT`) and their records
-        detached — not exported, the flows are moving, not ending.  The
-        returned :class:`MovedFlows` carries the pairs and the indices, so
+        charged, even on a timed :class:`FlowLUT`) and their state detached
+        as :class:`~repro.core.flow_state.FlowRow` s — not exported, the
+        flows are moving, not ending.  The returned :class:`MovedFlows`
+        carries the ``(key_bytes, row)`` pairs and the indices, so
         a receiver of the same :attr:`~HashCamTable.index_family` installs
         them without hashing again.
         """
@@ -551,23 +555,21 @@ class FlowTable:
         if state is None:
             return MovedFlows([])
         live_get = self._live_keys.get
-        pairs = [
-            (key_bytes, record)
-            for record in state
-            if (key_bytes := live_get(record.flow_id)) is not None
+        moving = [
+            (flow_id, key_bytes)
+            for flow_id in state.rows
+            if (key_bytes := live_get(flow_id)) is not None
         ]
-        keys = [key_bytes for key_bytes, _ in pairs]
+        keys = [key_bytes for _, key_bytes in moving]
         if select is not None and keys:
             mask = select(keys)
-            pairs = list(compress(pairs, mask))
+            moving = list(compress(moving, mask))
             keys = list(compress(keys, mask))
         if not keys:
             return MovedFlows([])
         table = self.table
         index1s, index2s = table.list_hash_indices(keys)
-        detach = state.detach
-        for key_bytes, record in pairs:
-            detach(record.flow_id)
+        pairs = list(zip(keys, state.detach_rows([flow_id for flow_id, _ in moving])))
         pop_live = self._live_keys.pop
         for flow_id in table.delete_rows(keys, index1s, index2s):
             if flow_id is not None:

@@ -9,16 +9,22 @@ stored; those removals become the deletion requests fed to the Update block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Union
+from dataclasses import dataclass
+from functools import partial
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from repro.net.fivetuple import FlowKey
+from repro.net.fivetuple import FLOW_KEY_BYTES, FlowKey
 from repro.net.parser import flow_key_from_engine_key
 
 
 @dataclass
 class FlowRecord:
-    """Accumulated state of one flow."""
+    """Accumulated state of one flow.
+
+    A :class:`FlowStateTable` keeps flow state in columns and builds a record
+    on demand, so a record it hands out is a snapshot: changing it does not
+    change the table.
+    """
 
     flow_id: int
     key: FlowKey
@@ -70,8 +76,53 @@ class FlowRecord:
         }
 
 
+FlowKeyCell = Union[bytes, FlowKey]
+"""A flow's key as :attr:`FlowStateTable.keys` holds it: the 13-byte engine
+key it arrived with, or its :class:`FlowKey` once one exists."""
+
+
+class FlowRow(NamedTuple):
+    """One flow's state as the columns hold it, taken out of a table by
+    :meth:`FlowStateTable.detach_rows` — what migration carries to the new
+    owner's :meth:`FlowStateTable.adopt` without building a
+    :class:`FlowRecord`.  ``flow_id`` is the ID it had where it was taken
+    from; ``key`` is its :data:`FlowKeyCell`."""
+
+    flow_id: int
+    key: FlowKeyCell
+    packets: int
+    octets: int
+    first_seen: int
+    last_seen: int
+    tcp_flags: int
+
+
+_new_row = partial(tuple.__new__, FlowRow)
+"""A :class:`FlowRow` from a tuple of its fields (the C constructor)."""
+
+
 class FlowStateTable:
     """Per-flow statistics keyed by flow ID, with timeout housekeeping.
+
+    The state is stored as columns.  :attr:`rows` maps every live flow ID to
+    its row, in record order (the order records were created or adopted in,
+    which iteration, :meth:`expire` and the snapshots follow).  Six plain
+    lists hold each row's values: :attr:`keys`, :attr:`packets`,
+    :attr:`octets`, :attr:`first_seen`, :attr:`last_seen` (both in ps) and
+    :attr:`tcp_flags`.  A key cell (:data:`FlowKeyCell`) is the 13-byte
+    engine key the flow arrived with — the block body stores it as is, so
+    no :class:`FlowKey` is built per flow — or the flow's :class:`FlowKey`,
+    which replaces the bytes the first time a record is built and which a
+    record or a timed-path packet brings in.  Readers index the columns
+    through :attr:`rows`; only this class writes them.  A row freed by
+    :meth:`detach`, :meth:`remove` or :meth:`expire` is reused by the next
+    flow created.
+
+    A :class:`FlowRecord` is built on demand — :meth:`get`, iteration,
+    :meth:`detach`, :meth:`remove`, :meth:`expire`, :meth:`top_flows` — and
+    is a snapshot of the row.  :meth:`update` and :meth:`update_rows` write
+    packets into the columns; :meth:`adopt` and :meth:`fold` take a record
+    or a :class:`FlowRow` in.
 
     Parameters
     ----------
@@ -83,7 +134,14 @@ class FlowStateTable:
         if timeout_us <= 0:
             raise ValueError("timeout_us must be positive")
         self.timeout_us = timeout_us
-        self._records: Dict[int, FlowRecord] = {}
+        self.rows: Dict[int, int] = {}
+        self.keys: List[FlowKeyCell] = []
+        self.packets: List[int] = []
+        self.octets: List[int] = []
+        self.first_seen: List[int] = []
+        self.last_seen: List[int] = []
+        self.tcp_flags: List[int] = []
+        self._free_rows: List[int] = []
         self.exported: List[FlowRecord] = []
         self.created = 0
         self.updated = 0
@@ -114,9 +172,9 @@ class FlowStateTable:
         """
         table = cls(timeout_us=timeout_us)
         for record in records:
-            if record.flow_id in table._records:
+            if record.flow_id in table.rows:
                 raise ValueError(f"duplicate flow_id {record.flow_id} in snapshot")
-            table._records[record.flow_id] = record
+            table._store_record(record.flow_id, record)
         table.exported = list(exported)
         if min(created, updated, expired, adopted, folded, drained) < 0:
             raise ValueError("flow-state counters must be non-negative")
@@ -128,21 +186,95 @@ class FlowStateTable:
         table.drained = drained
         return table
 
+    # ------------------------------------------------------------------ #
+    # Rows
+    # ------------------------------------------------------------------ #
+
+    def _store(
+        self, flow_id: int, key: FlowKeyCell, packets: int, octets: int,
+        first_seen: int, last_seen: int, tcp_flags: int,
+    ) -> None:
+        """Write one flow's values: over its row when ``flow_id`` is live
+        (the row keeps its place in record order), else into a freed row or
+        a new one at the end of the columns."""
+        row = self.rows.get(flow_id)
+        if row is None:
+            if not self._free_rows:
+                self.rows[flow_id] = len(self.packets)
+                self.keys.append(key)
+                self.packets.append(packets)
+                self.octets.append(octets)
+                self.first_seen.append(first_seen)
+                self.last_seen.append(last_seen)
+                self.tcp_flags.append(tcp_flags)
+                return
+            row = self.rows[flow_id] = self._free_rows.pop()
+        self.keys[row] = key
+        self.packets[row] = packets
+        self.octets[row] = octets
+        self.first_seen[row] = first_seen
+        self.last_seen[row] = last_seen
+        self.tcp_flags[row] = tcp_flags
+
+    def _store_record(self, flow_id: int, record: FlowRecord) -> None:
+        self._store(
+            flow_id, record.key, record.packets, record.bytes,
+            record.first_seen_ps, record.last_seen_ps, record.tcp_flags,
+        )
+
+    def _record(self, flow_id: int, row: int) -> FlowRecord:
+        """A snapshot of ``row`` as the record of ``flow_id``; the row's key
+        cell keeps the :class:`FlowKey` it took."""
+        key = self.keys[row]
+        if type(key) is bytes:
+            key = self.keys[row] = flow_key_from_engine_key(key)
+        return FlowRecord(
+            flow_id,
+            key,
+            self.packets[row],
+            self.octets[row],
+            self.first_seen[row],
+            self.last_seen[row],
+            self.tcp_flags[row],
+        )
+
+    def _release(self, flow_id: int) -> FlowRecord:
+        """Take a live flow out of the columns; returns its record."""
+        row = self.rows.pop(flow_id)
+        self._free_rows.append(row)
+        return self._record(flow_id, row)
+
+    # ------------------------------------------------------------------ #
+    # Reads
+    # ------------------------------------------------------------------ #
+
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self.rows)
 
     def __contains__(self, flow_id: int) -> bool:
-        return flow_id in self._records
+        return flow_id in self.rows
 
     def __iter__(self) -> Iterator[FlowRecord]:
-        return iter(self._records.values())
+        record = self._record
+        return (record(flow_id, row) for flow_id, row in self.rows.items())
 
     @property
     def timeout_ps(self) -> int:
         return int(self.timeout_us * 1e6)
 
     def get(self, flow_id: int) -> Optional[FlowRecord]:
-        return self._records.get(flow_id)
+        row = self.rows.get(flow_id)
+        return None if row is None else self._record(flow_id, row)
+
+    def sizes(self) -> List[Tuple[int, int]]:
+        """``(packets, bytes)`` of every live flow, in record order — the
+        flow sizes read off two columns, no record built."""
+        packets, octets = self.packets, self.octets
+        return [(packets[row], octets[row]) for row in self.rows.values()]
+
+    # ------------------------------------------------------------------ #
+    # Packets
+    # ------------------------------------------------------------------ #
 
     def update(
         self,
@@ -151,33 +283,83 @@ class FlowStateTable:
         length_bytes: int,
         timestamp_ps: int,
         tcp_flags: int = 0,
-    ) -> FlowRecord:
-        """Account one packet to ``flow_id``, creating the record if needed.
+    ) -> None:
+        """Account one packet to ``flow_id``, creating its row if needed.
 
-        ``key`` is read only when the record is created, so the block body
-        passes the 13-byte engine key the table stores and the (validated)
-        :class:`FlowKey` is built here, once per flow rather than per packet.
+        ``key`` — a :class:`FlowKey` or the flow's 13-byte engine key — is
+        read only when the row is created, and stored as given.  The
+        per-packet entrance of the timed path; a block of rows goes through
+        :meth:`update_rows`.
         """
-        record = self._records.get(flow_id)
-        if record is None:
+        row = self.rows.get(flow_id)
+        if row is None:
             if not isinstance(key, FlowKey):
-                key = flow_key_from_engine_key(key)
-            record = FlowRecord(
-                flow_id=flow_id,
-                key=key,
-                first_seen_ps=timestamp_ps,
-                last_seen_ps=timestamp_ps,
-            )
-            self._records[flow_id] = record
+                key = bytes(key)
+                if len(key) != FLOW_KEY_BYTES:
+                    raise ValueError(f"engine key is {len(key)} bytes, expected {FLOW_KEY_BYTES}")
+            self._store(flow_id, key, 1, length_bytes, timestamp_ps, timestamp_ps, tcp_flags)
             self.created += 1
-        else:
-            self.updated += 1
-        record.packets += 1
-        record.bytes += length_bytes
-        if timestamp_ps > record.last_seen_ps:
-            record.last_seen_ps = timestamp_ps
-        record.tcp_flags |= tcp_flags
-        return record
+            return
+        self.updated += 1
+        self.packets[row] += 1
+        self.octets[row] += length_bytes
+        if timestamp_ps > self.last_seen[row]:
+            self.last_seen[row] = timestamp_ps
+        self.tcp_flags[row] |= tcp_flags
+
+    def update_rows(
+        self,
+        flow_ids: Sequence[int],
+        keys: Sequence[bytes],
+        lengths: Sequence[int],
+        timestamps: Sequence[int],
+        flags: Sequence[int],
+    ) -> None:
+        """:meth:`update` for a block of rows, in row order, folded into the
+        columns inline; a row whose flow ID is negative (not placed) is
+        skipped.  ``keys`` are the rows' 13-byte engine keys, which the
+        caller has checked."""
+        rows = self.rows
+        get = rows.get
+        free_rows = self._free_rows
+        packets, octets, last_seen, tcp_flags = (
+            self.packets, self.octets, self.last_seen, self.tcp_flags
+        )
+        appends = [
+            column.append
+            for column in (self.keys, packets, octets, self.first_seen, last_seen, tcp_flags)
+        ]
+        add_key, add_packets, add_octets, add_first, add_last, add_flags = appends
+        created = updated = 0
+        rows_in = zip(flow_ids, keys, lengths, timestamps, flags)
+        for flow_id, key, length, timestamp, flag in rows_in:
+            row = get(flow_id)
+            if row is not None:
+                packets[row] += 1
+                octets[row] += length
+                if timestamp > last_seen[row]:
+                    last_seen[row] = timestamp
+                tcp_flags[row] |= flag
+                updated += 1
+            elif flow_id >= 0:
+                created += 1
+                if free_rows:
+                    self._store(flow_id, key, 1, length, timestamp, timestamp, flag)
+                    continue
+                # _store's new-row case, inline: this is the insert pass.
+                rows[flow_id] = len(packets)
+                add_key(key)
+                add_packets(1)
+                add_octets(length)
+                add_first(timestamp)
+                add_last(timestamp)
+                add_flags(flag)
+        self.created += created
+        self.updated += updated
+
+    # ------------------------------------------------------------------ #
+    # Export, migration and housekeeping
+    # ------------------------------------------------------------------ #
 
     def drain_exported(self) -> List[FlowRecord]:
         """Hand the accumulated export stream to a consumer and clear it.
@@ -200,9 +382,10 @@ class FlowStateTable:
 
     def remove(self, flow_id: int) -> Optional[FlowRecord]:
         """Remove and return a record (e.g. on FIN/RST termination)."""
-        record = self._records.pop(flow_id, None)
-        if record is not None:
-            self.exported.append(record)
+        if flow_id not in self.rows:
+            return None
+        record = self._release(flow_id)
+        self.exported.append(record)
         return record
 
     def detach(self, flow_id: int) -> Optional[FlowRecord]:
@@ -212,52 +395,78 @@ class FlowStateTable:
         terminating, so it must not appear in this table's NetFlow export
         stream — it continues accumulating on its new owner.
         """
-        return self._records.pop(flow_id, None)
+        return self._release(flow_id) if flow_id in self.rows else None
 
-    def adopt(self, flow_id: int, record: FlowRecord) -> FlowRecord:
-        """Install a migrated record under this table's (new) flow ID.
+    def detach_rows(self, flow_ids: Sequence[int]) -> List[FlowRow]:
+        """:meth:`detach` for a column of live flow IDs, returning each flow's
+        :class:`FlowRow` instead of a record (a flow not live raises
+        ``KeyError``)."""
+        pop = self.rows.pop
+        rows = [pop(flow_id) for flow_id in flow_ids]
+        self._free_rows.extend(rows)
+        columns = [
+            [column[row] for row in rows]
+            for column in (
+                self.keys, self.packets, self.octets,
+                self.first_seen, self.last_seen, self.tcp_flags,
+            )
+        ]
+        return list(map(_new_row, zip(flow_ids, *columns)))
 
-        Flow IDs are location-derived, so a record re-homed onto another
-        node gets whatever ID its new table location yields; the accumulated
-        counters and timestamps travel with it unchanged.
+    def adopt(self, flow_id: int, record: Union[FlowRecord, FlowRow]) -> None:
+        """Install a migrated flow under this table's (new) flow ID.
+
+        Flow IDs are location-derived, so a flow re-homed onto another node
+        gets whatever ID its new table location yields; the accumulated
+        counters and timestamps travel with it unchanged.  A
+        :class:`FlowRecord` is re-labelled with the new ID; the table keeps
+        its values, not the object.
         """
-        record.flow_id = flow_id
-        self._records[flow_id] = record
+        if type(record) is FlowRow:
+            _, key, packets, octets, first_seen, last_seen, tcp_flags = record
+            self._store(flow_id, key, packets, octets, first_seen, last_seen, tcp_flags)
+        else:
+            record.flow_id = flow_id
+            self._store_record(flow_id, record)
         self.adopted += 1
-        return record
 
-    def fold(self, flow_id: int, record: FlowRecord) -> FlowRecord:
-        """Merge an arriving copy of a flow into the record already stored.
+    def fold(self, flow_id: int, record: Union[FlowRecord, FlowRow]) -> None:
+        """Merge an arriving copy of a flow into the state already stored.
 
         The cluster layer hits this when a migrated, replica-promoted or
-        checkpoint-restored record lands on a node that has since
-        re-learned the same flow: the copy's counters are absorbed into
-        the resident record and the copy ceases to exist as an instance
-        (tracked by ``folded``, which the cluster's conservation books
-        balance against).
+        checkpoint-restored flow lands on a node that has since re-learned
+        it: the copy's counters are absorbed into the resident row as
+        :meth:`FlowRecord.absorb` would, and the copy ceases to exist as an
+        instance (tracked by ``folded``, which the cluster's conservation
+        books balance against).
         """
-        existing = self._records[flow_id]
-        existing.absorb(record)
+        if type(record) is FlowRow:
+            _, _, packets, octets, first_seen, last_seen, tcp_flags = record
+        else:
+            packets, octets = record.packets, record.bytes
+            first_seen, last_seen = record.first_seen_ps, record.last_seen_ps
+            tcp_flags = record.tcp_flags
+        row = self.rows[flow_id]
+        self.packets[row] += packets
+        self.octets[row] += octets
+        self.first_seen[row] = min(self.first_seen[row], first_seen)
+        self.last_seen[row] = max(self.last_seen[row], last_seen)
+        self.tcp_flags[row] |= tcp_flags
         self.folded += 1
-        return existing
 
     def expire(self, now_ps: int) -> List[FlowRecord]:
         """Housekeeping pass: remove every flow idle for longer than the timeout.
 
-        Returns the expired records; the caller turns them into deletion
-        requests towards the Update block.
+        Returns the expired records, in record order; the caller turns them
+        into deletion requests towards the Update block.
         """
         timeout_ps = self.timeout_ps
+        last_seen = self.last_seen
         stale = [
-            flow_id
-            for flow_id, record in self._records.items()
-            if now_ps - record.last_seen_ps > timeout_ps
+            flow_id for flow_id, row in self.rows.items() if now_ps - last_seen[row] > timeout_ps
         ]
-        removed = []
-        for flow_id in stale:
-            record = self._records.pop(flow_id)
-            self.exported.append(record)
-            removed.append(record)
+        removed = [self._release(flow_id) for flow_id in stale]
+        self.exported.extend(removed)
         self.expired += len(removed)
         return removed
 
@@ -265,11 +474,13 @@ class FlowStateTable:
         """The ``count`` largest active flows by ``"bytes"`` or ``"packets"``."""
         if by not in ("bytes", "packets"):
             raise ValueError("by must be 'bytes' or 'packets'")
-        return sorted(self._records.values(), key=lambda r: getattr(r, by), reverse=True)[:count]
+        column = self.octets if by == "bytes" else self.packets
+        ranked = sorted(self.rows.items(), key=lambda item: column[item[1]], reverse=True)
+        return [self._record(flow_id, row) for flow_id, row in ranked[:count]]
 
     def stats(self) -> dict:
         return {
-            "active_flows": len(self._records),
+            "active_flows": len(self.rows),
             "created": self.created,
             "updated": self.updated,
             "expired": self.expired,

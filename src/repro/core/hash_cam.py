@@ -11,13 +11,23 @@ This module is the *functional* model: it defines the table contents and the
 stage at which a query resolves.  The timed model
 (:class:`repro.core.flow_lut.FlowLUT`) uses it as backing storage while
 charging DDR3 access time for every bucket it touches.
+
+Beside the stages the table keeps a *key index* — one ``key -> flow ID``
+dict over every stored entry — which the functional bulk paths
+(:meth:`repro.core.flow_lut.FlowTable.process_block` / ``install``) resolve
+a key with in one ``dict.get``.  A location-derived flow ID names its stage:
+Mem1's IDs come first, then Mem2's, then the CAM's from
+:attr:`HashCamTable.cam_id_base` on.  :meth:`HashCamTable.lookup` and the
+timed device still walk the CAM and the buckets, so no stage or DDR3 access
+is skipped where the model charges for one.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.cam.bcam import BinaryCAM
 from repro.core.config import FlowLUTConfig
@@ -34,12 +44,17 @@ class LookupStage(enum.Enum):
     MISS = "miss"
 
 
-@dataclass(frozen=True)
-class TableEntry:
+class TableEntry(NamedTuple):
     """One occupied slot of a hash bucket."""
 
     key: bytes
     flow_id: int
+
+
+_new_entry = partial(tuple.__new__, TableEntry)
+"""A :class:`TableEntry` from a ``(key, flow_id)`` tuple (the C constructor)."""
+
+_MEMORY_STAGES = (LookupStage.MEM1, LookupStage.MEM2)
 
 
 @dataclass(frozen=True)
@@ -92,6 +107,11 @@ class HashCamTable:
         # 8-million-entry prototype configuration does not materialise four
         # million empty lists up front.
         self._memories: List[Dict[int, List[TableEntry]]] = [{}, {}]
+        # Per memory, bucket -> K-bit int: bit ``s`` set while a live entry
+        # holds the bucket's slot-``s`` location ID (see ``_place``).
+        self._slot_masks: List[Dict[int, int]] = [{}, {}]
+        # key -> flow ID of every stored entry, CAM and both memories.
+        self._index: Dict[bytes, int] = {}
         self.cam = BinaryCAM(
             capacity=max(1, config.cam_entries),
             key_bits=config.key_bits,
@@ -284,50 +304,65 @@ class HashCamTable:
         choices = ((0, index1), (1, index2))
         if preferred_memory == 1:
             choices = (choices[1], choices[0])
+        capacity = self.bucket_entries
         for memory, bucket in choices:
-            entries = self._memories[memory].setdefault(bucket, [])
-            if len(entries) < self.bucket_entries:
-                base = self.location_flow_id(memory, bucket, 0)
-                slot = self._free_slot(base, entries)
-                assigned = base + slot if flow_id is None else flow_id
-                entries.append(TableEntry(key, assigned))
+            buckets = self._memories[memory]
+            entries = buckets.get(bucket)
+            if entries is None:
+                entries = buckets[bucket] = []
+            if len(entries) < capacity:
+                # The lowest *physical* slot no live entry's ID occupies.  The
+                # entry list compacts on deletion (a storage artifact), but
+                # each survivor keeps the ID of the slot it was placed in, so
+                # ``len(entries)`` would hand a live ID out again once a lower
+                # slot was vacated — and a duplicated location ID silently
+                # merges two flows' state.  A bucket is K physical slots; a
+                # new entry takes a free one.  A caller-chosen ID outside this
+                # bucket's range reserves no slot.
+                masks = self._slot_masks[memory]
+                used = masks.get(bucket, 0)
+                slot = (~used & (used + 1)).bit_length() - 1
+                base = (memory * self.buckets_per_memory + bucket) * capacity
+                if flow_id is None:
+                    assigned = base + slot
+                    masks[bucket] = used | (1 << slot)
+                else:
+                    assigned = flow_id
+                    offset = flow_id - base
+                    masks[bucket] = used | (1 << offset if 0 <= offset < capacity else 0)
+                entries.append(_new_entry((key, assigned)))
+                self._index[key] = assigned
                 self._occupancy[memory] += 1
-                stage = LookupStage.MEM1 if memory == 0 else LookupStage.MEM2
-                return stage, assigned, memory, bucket, slot
+                return _MEMORY_STAGES[memory], assigned, memory, bucket, slot
 
         assigned = flow_id if flow_id is not None else self._free_cam_id()
         if assigned is not None and self.cam.insert(key, assigned):
+            self._index[key] = assigned
             return LookupStage.CAM, assigned, None, None, None
         self.insert_failures += 1
         return LookupStage.MISS, None, None, None, None
 
-    def _free_slot(self, base: int, entries: List[TableEntry]) -> int:
-        """The lowest *physical* slot of a bucket no live entry's ID occupies
-        (``base`` is the bucket's slot-0 location ID).
-
-        The entry list compacts on deletion (a storage artifact), but each
-        survivor keeps the flow ID of the physical slot it was placed in.
-        Assigning the next insert ``len(entries)`` would re-issue a live
-        entry's ID whenever a lower slot was vacated — and a duplicated
-        location ID silently overwrites that flow's state on adoption.  The
-        hardware has no such failure: a bucket is K physical slots and a new
-        entry takes a *free* one, which is what this models.  IDs supplied by
-        the caller (``flow_id=...``) fall outside this bucket's location
-        range and don't reserve a slot.
-        """
-        used = {entry.flow_id - base for entry in entries}
-        for slot in range(self.bucket_entries):
-            if slot not in used:
-                return slot
-        raise RuntimeError("bucket reported free space but every slot ID is live")
+    def _unplace(self, memory: int, bucket: int, entries: List[TableEntry], slot: int) -> None:
+        """Remove ``entries[slot]`` (the list stored at ``(memory, bucket)``)
+        from the bucket, its slot mask and the key index."""
+        entry = entries.pop(slot)
+        del self._index[entry.key]
+        masks = self._slot_masks[memory]
+        offset = entry.flow_id - (memory * self.buckets_per_memory + bucket) * self.bucket_entries
+        if 0 <= offset < self.bucket_entries:
+            masks[bucket] &= ~(1 << offset)
+        if not entries:
+            del self._memories[memory][bucket]
+            del masks[bucket]
+        self._occupancy[memory] -= 1
 
     def _free_cam_id(self) -> Optional[int]:
         """The lowest CAM-range flow ID not held by a live CAM entry.
 
         ``cam_id_base + occupancy`` would re-issue a live entry's ID after
-        any CAM deletion (the same aliasing as :meth:`_free_slot`, in the
-        overflow stage).  The CAM is small, so scanning its live values is
-        cheap.  Returns ``None`` when every CAM slot ID is taken — the CAM
+        any CAM deletion (the aliasing :meth:`_place` avoids in a bucket, in
+        the overflow stage).  The CAM is small, so scanning its live values
+        is cheap.  Returns ``None`` when every CAM slot ID is taken — the CAM
         is full and the insert is about to fail anyway.
         """
         used = {int(value) for _, value in self.cam}
@@ -344,6 +379,7 @@ class HashCamTable:
         holds, as for :meth:`lookup`.
         """
         if self.cam.delete(key):
+            del self._index[key]
             return True
         index1, index2 = self.hash_indices(key) if indices is None else indices
         for memory, bucket in ((0, index1), (1, index2)):
@@ -352,10 +388,7 @@ class HashCamTable:
                 continue
             for slot, entry in enumerate(entries):
                 if entry.key == key:
-                    del entries[slot]
-                    self._occupancy[memory] -= 1
-                    if not entries:
-                        del self._memories[memory][bucket]
+                    self._unplace(memory, bucket, entries, slot)
                     return True
         return False
 
@@ -372,11 +405,14 @@ class HashCamTable:
         cam = self.cam
         cam_entries = cam._entries
         memories = self._memories
+        index = self._index
+        unplace = self._unplace
         stage_counts = [0, 0, 0, 0]  # CAM, MEM1, MEM2, MISS
         flow_ids: List[Optional[int]] = []
         for key, index1, index2 in zip(keys, index1s, index2s):
             value = cam_entries.pop(key, None)
             if value is not None:
+                del index[key]
                 stage_counts[0] += 1
                 flow_ids.append(int(value))
                 continue
@@ -389,10 +425,7 @@ class HashCamTable:
                         break
                 else:
                     continue
-                del entries[slot]
-                if not entries:
-                    del memories[memory][bucket]
-                self._occupancy[memory] -= 1
+                unplace(memory, bucket, entries, slot)
                 stage_counts[1 + memory] += 1
                 flow_ids.append(entry.flow_id)
                 break

@@ -419,6 +419,11 @@ class ShardedFlowLUT:
             pairs.extend(shard.live_flow_pairs())
         return pairs
 
+    def live_keys(self) -> List[bytes]:
+        """Every live engine key across all shards, shard by shard — the keys
+        of :meth:`live_flow_pairs` without building a record."""
+        return [key for shard in self.shards for key in shard.live_keys()]
+
     def live_packet_counts(self) -> Dict[bytes, int]:
         """``{engine_key_bytes: packets}`` for every live flow with a record.
 

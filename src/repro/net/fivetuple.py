@@ -63,6 +63,26 @@ class FlowKey:
         if not 0 <= self.protocol <= 0xFF:
             raise ValueError(f"protocol out of range: {self.protocol}")
 
+    @classmethod
+    def unchecked(
+        cls, src_ip: int, dst_ip: int, src_port: int, dst_port: int, protocol: int
+    ) -> "FlowKey":
+        """A key from integer fields the caller guarantees are in range.
+
+        Skips :meth:`__post_init__`'s validation: for fields just unpacked
+        from a fixed-width struct (an engine key, a :meth:`pack` form), which
+        cannot be out of range.  Equal, and hashing equal, to the validated
+        key of the same fields.
+        """
+        key = object.__new__(cls)
+        fields = key.__dict__
+        fields["src_ip"] = src_ip
+        fields["dst_ip"] = dst_ip
+        fields["src_port"] = src_port
+        fields["dst_port"] = dst_port
+        fields["protocol"] = protocol
+        return key
+
     def pack(self) -> bytes:
         """13-byte wire representation: src_ip, dst_ip, src_port, dst_port, proto."""
         return _PACKED.pack(
@@ -71,16 +91,11 @@ class FlowKey:
 
     @classmethod
     def unpack(cls, data: bytes) -> "FlowKey":
-        """Inverse of :meth:`pack`."""
+        """Inverse of :meth:`pack` (fixed-width fields: in range by
+        construction, so built with :meth:`unchecked`)."""
         if len(data) != FLOW_KEY_BYTES:
             raise ValueError(f"expected {FLOW_KEY_BYTES} bytes, got {len(data)}")
-        return cls(
-            src_ip=int.from_bytes(data[0:4], "big"),
-            dst_ip=int.from_bytes(data[4:8], "big"),
-            src_port=int.from_bytes(data[8:10], "big"),
-            dst_port=int.from_bytes(data[10:12], "big"),
-            protocol=data[12],
-        )
+        return cls.unchecked(*_PACKED.unpack(data))
 
     def as_int(self) -> int:
         """The key as a 104-bit integer (convenient for H3 hashing)."""

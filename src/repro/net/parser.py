@@ -53,9 +53,19 @@ src_ip, dst_port, src_port, protocol — which is what the table stores."""
 
 
 def flow_key_from_engine_key(key_bytes: bytes) -> FlowKey:
-    """The (validated) :class:`FlowKey` a 13-byte engine key stands for."""
+    """The :class:`FlowKey` a 13-byte engine key stands for.
+
+    The fields come out of a fixed-width unpack, so they are in range by
+    construction and the key is built with :meth:`FlowKey.unchecked`.
+    """
     dst_ip, src_ip, dst_port, src_port, protocol = FIVE_TUPLE_STRUCT.unpack(key_bytes)
-    return FlowKey(src_ip, dst_ip, src_port, dst_port, protocol)
+    return FlowKey.unchecked(src_ip, dst_ip, src_port, dst_port, protocol)
+
+
+def engine_key_from_flow_key(key: FlowKey) -> bytes:
+    """The 13-byte engine key of a :class:`FlowKey` (the inverse of
+    :func:`flow_key_from_engine_key`)."""
+    return FIVE_TUPLE_STRUCT.pack(key.dst_ip, key.src_ip, key.dst_port, key.src_port, key.protocol)
 
 
 @dataclass(frozen=True)

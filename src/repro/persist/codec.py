@@ -150,6 +150,17 @@ class ByteReader:
         """A run of ``count`` u64 values unpacked in one call."""
         return list(struct.unpack(f"<{count}Q", self._take(8 * count)))
 
+    def peek(self, layout: struct.Struct) -> Optional[tuple]:
+        """``layout``'s fields at the read position, without consuming them;
+        ``None`` when fewer than ``layout.size`` bytes remain."""
+        if self._offset + layout.size > len(self._data):
+            return None
+        return layout.unpack_from(self._data, self._offset)
+
+    def skip(self, count: int) -> None:
+        """Consume ``count`` bytes already read with :meth:`peek`."""
+        self._take(count)
+
     def i64(self) -> int:
         return struct.unpack("<q", self._take(8))[0]
 

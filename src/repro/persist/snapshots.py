@@ -459,32 +459,112 @@ _ENTRY = struct.Struct(f"<I{FLOW_KEY_BYTES}sB{_RECORD.format[1:]}")
 :func:`_read_entries` reads it: the key blob (u32 length + 13 bytes), the
 present flag (1), then the record laid out as :data:`_RECORD`."""
 
+_ENTRY_FROM_COLUMNS = struct.Struct(f"<I{FLOW_KEY_BYTES}sBQI4s4s2s2sBQQQQH")
+""":data:`_ENTRY` with the record key as its five big-endian fields taken
+apart, so it is packed straight from a flow-state key cell holding an
+engine key (dst, src, dst port, src port, protocol), whose address and port
+halves :meth:`FlowKey.pack` order swaps — the same bytes :data:`_ENTRY`
+writes."""
 
-def _write_entries(writer: ByteWriter, entries: List[FlowEntry]) -> None:
-    writer.u32(len(entries))
-    pack, raw = _ENTRY.pack, writer.raw
-    for key_bytes, record in entries:
-        if record is not None and len(key_bytes) == FLOW_KEY_BYTES:
-            raw(
-                pack(
-                    FLOW_KEY_BYTES, key_bytes, 1,
-                    record.flow_id, FLOW_KEY_BYTES, record.key.pack(), record.packets,
-                    record.bytes, record.first_seen_ps, record.last_seen_ps, record.tcp_flags,
-                )
+
+def _write_entry(writer: ByteWriter, key_bytes: bytes, record: Optional[FlowRecord]) -> None:
+    if record is not None and len(key_bytes) == FLOW_KEY_BYTES:
+        writer.raw(
+            _ENTRY.pack(
+                FLOW_KEY_BYTES, key_bytes, 1,
+                record.flow_id, FLOW_KEY_BYTES, record.key.pack(), record.packets,
+                record.bytes, record.first_seen_ps, record.last_seen_ps, record.tcp_flags,
             )
+        )
+        return
+    # Preloaded keys (no record) and keys of another width: field by field.
+    writer.blob(key_bytes)
+    if record is None:
+        writer.u8(0)
+    else:
+        writer.u8(1)
+        _write_record(writer, record)
+
+
+def _write_pairs(writer: ByteWriter, entries: List[FlowEntry]) -> None:
+    writer.u32(len(entries))
+    for key_bytes, record in entries:
+        _write_entry(writer, key_bytes, record)
+
+
+def _write_entries(writer: ByteWriter, engine) -> None:
+    """Write the live flows of ``engine`` — a flow table or sharded engine —
+    as :func:`_write_pairs` writes its ``live_flow_pairs()``.
+
+    The rows with a record and a 13-byte key are packed straight from the
+    flow-state columns, so no record is built.  An engine that is neither
+    (a duck-typed stand-in with only ``live_flow_pairs``) is written from
+    its pairs.
+    """
+    tables = [engine] if isinstance(engine, FlowTable) else getattr(engine, "shards", None)
+    if tables is None:
+        _write_pairs(writer, engine.live_flow_pairs())
+        return
+    lives = [table.live_items() for table in tables]
+    writer.u32(sum(map(len, lives)))
+    pack, pack_engine = _ENTRY.pack, _ENTRY_FROM_COLUMNS.pack
+    for table, live in zip(tables, lives):
+        state = table.flow_state
+        if state is None:
+            for _, key_bytes in live:
+                _write_entry(writer, key_bytes, None)
             continue
-        # Preloaded keys (no record) and keys of another width: field by field.
-        writer.blob(key_bytes)
-        if record is None:
-            writer.u8(0)
-        else:
-            writer.u8(1)
-            _write_record(writer, record)
+        row_of = state.rows.get
+        keys, packets, octets = state.keys, state.packets, state.octets
+        first_seen, last_seen, tcp_flags = state.first_seen, state.last_seen, state.tcp_flags
+        chunks = []
+        for flow_id, key_bytes in live:
+            row = row_of(flow_id)
+            if row is None or len(key_bytes) != FLOW_KEY_BYTES:
+                writer.raw(b"".join(chunks))
+                chunks.clear()
+                _write_entry(writer, key_bytes, None if row is None else state.get(flow_id))
+                continue
+            key = keys[row]
+            if type(key) is bytes:
+                # An engine key: the record key is its address and port
+                # halves swapped.
+                chunks.append(pack_engine(
+                    FLOW_KEY_BYTES, key_bytes, 1,
+                    flow_id, FLOW_KEY_BYTES, key[4:8], key[:4], key[10:12], key[8:10], key[12],
+                    packets[row], octets[row], first_seen[row], last_seen[row], tcp_flags[row],
+                ))
+            else:
+                chunks.append(pack(
+                    FLOW_KEY_BYTES, key_bytes, 1,
+                    flow_id, FLOW_KEY_BYTES, key.pack(),
+                    packets[row], octets[row], first_seen[row], last_seen[row], tcp_flags[row],
+                ))
+        writer.raw(b"".join(chunks))
 
 
 def _read_entries(reader: ByteReader) -> List[FlowEntry]:
+    """The entries :func:`_write_entries` / :func:`_write_pairs` wrote.  A
+    run of 13-byte keys with records is decoded one :data:`_ENTRY` per
+    entry; bare entries and keys of another width are read field by field."""
     entries: List[FlowEntry] = []
+    peek, skip, size = reader.peek, reader.skip, _ENTRY.size
     for _ in range(reader.u32()):
+        fields = peek(_ENTRY)
+        if fields is not None and fields[0] == FLOW_KEY_BYTES and fields[2] == 1:
+            (_, key_bytes, _, flow_id, packed_length, packed,
+             packets, bytes_, first_seen, last_seen, tcp_flags) = fields
+            if packed_length != FLOW_KEY_BYTES:
+                raise SnapshotFormatError(
+                    f"flow record key is {packed_length} bytes, expected {FLOW_KEY_BYTES}"
+                )
+            skip(size)
+            entries.append((
+                key_bytes,
+                FlowRecord(flow_id, FlowKey.unpack(packed), packets, bytes_,
+                           first_seen, last_seen, tcp_flags),
+            ))
+            continue
         key_bytes = reader.blob()
         record = _read_record(reader) if reader.u8() else None
         entries.append((key_bytes, record))
@@ -496,7 +576,7 @@ def dump_flow_lut(lut: FlowTable) -> bytes:
     a timed :class:`~repro.core.flow_lut.FlowLUT` is one too."""
     writer = ByteWriter()
     writer.i64(lut.config.seed).u32(lut.table.buckets_per_memory)
-    _write_entries(writer, lut.live_flow_pairs())
+    _write_entries(writer, lut)
     return pack_frame(MAGIC_FLOW_LUT, 1, writer.getvalue())
 
 
@@ -516,7 +596,7 @@ def dump_sharded(engine: ShardedFlowLUT) -> bytes:
     writer = ByteWriter()
     writer.u32(engine.num_shards)
     writer.i64(engine.config.seed).u32(engine.shards[0].table.buckets_per_memory)
-    _write_entries(writer, engine.live_flow_pairs())
+    _write_entries(writer, engine)
     return pack_frame(MAGIC_SHARDED, 1, writer.getvalue())
 
 
@@ -645,7 +725,7 @@ def dump_node_snapshot(node, obs=None) -> bytes:
     else:
         writer.u8(1)
         writer.blob(dumps(pipeline))
-    _write_entries(writer, node.engine.live_flow_pairs())
+    _write_entries(writer, node.engine)
     frame = pack_frame(MAGIC_NODE, 1, writer.getvalue())
     if obs is not None:
         _record_persist_obs(obs, "dump", "node", obs.clock() - start, len(frame))

@@ -448,11 +448,11 @@ class TelemetryPipeline:
         flow exactly once).  Call once per measurement window.  Returns how
         many records were added to the flow-size distribution.
         """
-        added = 0
-        for record in flow_state:
-            self.flow_sizes.observe_flow(record.packets, record.bytes)
-            added += 1
-        return added
+        sizes = flow_state.sizes()
+        observe = self.flow_sizes.observe_flow
+        for packets, bytes_ in sizes:
+            observe(packets, bytes_)
+        return len(sizes)
 
     # ------------------------------------------------------------------ #
     # Queries

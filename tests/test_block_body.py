@@ -18,7 +18,7 @@ from repro.columns import DescriptorBlock
 from repro.columns.block import STAGE_CODES, OutcomeBlock
 from repro.core.config import small_test_config
 from repro.core.flow_lut import FlowTable
-from repro.core.flow_state import FlowStateTable
+from repro.core.flow_state import FlowRecord, FlowStateTable
 from repro.core.hash_cam import LookupStage
 from repro.net.fivetuple import FlowKey
 from repro.persist import dump_flow_lut
@@ -233,18 +233,31 @@ def test_empty_block_counts_nothing(each_backend):
 
 @pytest.fixture
 def counted_lut(monkeypatch, count_hash_calls):
-    """A flow table with flow state whose ``FlowKey`` constructions, table
-    ``lookup`` / ``_place`` calls and ``hash_indices`` calls are counted."""
+    """A flow table with flow state whose ``FlowKey`` and ``FlowRecord``
+    constructions (validated or not), table ``lookup`` / ``_place`` calls and
+    ``hash_indices`` calls are counted."""
     lut = FlowTable(small_test_config(), flow_state=FlowStateTable())
-    calls = {"FlowKey": 0, "lookup": 0, "_place": 0}
+    calls = {"FlowKey": 0, "FlowRecord": 0, "lookup": 0, "_place": 0}
 
     validate = FlowKey.__post_init__
+    unchecked = FlowKey.unchecked.__func__
+    record_init = FlowRecord.__init__
 
     def counting_post_init(self):
         calls["FlowKey"] += 1
         validate(self)
 
+    def counting_unchecked(cls, *fields):
+        calls["FlowKey"] += 1
+        return unchecked(cls, *fields)
+
+    def counting_record_init(self, *args, **kwargs):
+        calls["FlowRecord"] += 1
+        record_init(self, *args, **kwargs)
+
     monkeypatch.setattr(FlowKey, "__post_init__", counting_post_init)
+    monkeypatch.setattr(FlowKey, "unchecked", classmethod(counting_unchecked))
+    monkeypatch.setattr(FlowRecord, "__init__", counting_record_init)
     for name in ("lookup", "_place"):
         def counting(*args, _inner=getattr(lut.table, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -261,21 +274,24 @@ def test_an_all_hit_block_builds_no_flow_key_and_never_searches_twice(counted_lu
     for _, context in each_backend():
         with context:
             lut.process_block(block)  # first pass inserts (numpy leg) or already hits
-            calls.update(FlowKey=0, lookup=0, _place=0)
+            calls.update(FlowKey=0, FlowRecord=0, lookup=0, _place=0)
             del calls["hash_indices"][:]
             outcome = lut.process_block(block)
             assert list(outcome.hits) == [1] * len(KEY_POOL)
-            assert calls == {"FlowKey": 0, "lookup": 0, "_place": 0, "hash_indices": []}
+            assert calls == {
+                "FlowKey": 0, "FlowRecord": 0, "lookup": 0, "_place": 0, "hash_indices": []
+            }
 
 
-def test_a_block_of_new_flows_builds_one_flow_key_and_places_once_per_flow(counted_lut):
+def test_a_block_of_new_flows_builds_no_flow_key_and_places_once_per_flow(counted_lut):
     lut, calls = counted_lut
     rows = [(key, 100, i, 0) for i, key in enumerate(KEY_POOL)]
     block = DescriptorBlock.from_rows(rows + rows)  # every flow twice: n creations, n hits
     outcome = lut.process_block(block)
     n = len(KEY_POOL)
     assert sum(outcome.new_flows) == n and sum(outcome.hits) == n
-    assert calls == {"FlowKey": n, "lookup": 0, "_place": n, "hash_indices": []}
+    # Flow state folds the rows into its columns: no key or record object.
+    assert calls == {"FlowKey": 0, "FlowRecord": 0, "lookup": 0, "_place": n, "hash_indices": []}
     assert lut.flow_state.created == n and lut.flow_state.updated == n
     assert lut.table.lookups == n  # each placement still counts as the search it replaces
 

@@ -4,10 +4,12 @@ Flow IDs are location-derived and flow state is keyed by them, so an ID that
 is re-issued while its first holder is live, or that changes under a live
 key, silently merges two flows' counters.  This machine drives random
 interleavings of the operations that create, move and remove entries —
-``process_block``, migration out (``detach`` + ``delete_flow``), migration
-in (``restore_flow``) and ``run_housekeeping`` — against a plain dict of
-``key -> flow ID``, on tables small enough to overflow into the CAM and to
-refuse inserts, on both column backends.  The machine drives a
+``process_block``, migration out (``detach`` + ``delete_flow``, and the
+bulk ``extract_flows``), migration in (``restore_flow``) and
+``run_housekeeping`` — against a plain dict of ``key -> flow ID``, and
+holds the table's key index and per-bucket slot masks to its CAM and
+bucket contents after every rule, on tables small enough to overflow into
+the CAM and to refuse inserts, on both column backends.  The machine drives a
 :class:`~repro.core.flow_lut.FlowTable`, the class every engine shard is.
 """
 
@@ -90,6 +92,21 @@ class FlowTableMachine(RuleBasedStateMachine):
         else:
             assert not self.lut.delete_flow(key)
 
+    @rule(chosen=st.sets(picks, max_size=6))
+    def extract_flows(self, chosen):
+        # Bulk migration out: the moved keys leave the table through
+        # delete_rows, their state as FlowRows, parked as records.
+        wanted = {ENGINE_KEYS[pick] for pick in chosen}
+        moved = self.lut.extract_flows(lambda keys: [key in wanted for key in keys])
+        assert {key for key, _ in moved} == wanted & set(self.ids)
+        for key, row in moved:
+            assert row.flow_id == self.ids[key] and row.last_seen == self.last_seen[key]
+            self.parked[key] = FlowRecord(
+                row.flow_id, FLOW_KEYS[ENGINE_KEYS.index(key)], row.packets, row.octets,
+                row.first_seen, row.last_seen, row.tcp_flags,
+            )
+            self._forget(key)
+
     @rule(pick=picks)
     def restore_flow(self, pick):
         key = ENGINE_KEYS[pick]
@@ -133,6 +150,21 @@ class FlowTableMachine(RuleBasedStateMachine):
             for entry in entries
         ] + list(table.cam)
         assert sorted(stored) == sorted(self.ids.items())
+
+    @invariant()
+    def the_key_index_and_slot_masks_are_the_table_contents(self):
+        # The index process_block and install resolve keys with must be
+        # exactly the CAM plus both memories' buckets, and each bucket's
+        # occupancy int exactly the slots its live entries' IDs hold.
+        table = self.lut.table
+        stored = dict(table.cam)
+        for memory, (buckets, masks) in enumerate(zip(table._memories, table._slot_masks)):
+            assert sorted(masks) == sorted(buckets)
+            for bucket, entries in buckets.items():
+                base = table.location_flow_id(memory, bucket, 0)
+                assert masks[bucket] == sum(1 << (entry.flow_id - base) for entry in entries)
+                stored.update(entries)
+        assert table._index == stored
 
     @invariant()
     def flow_state_follows_the_ids(self):
