@@ -172,7 +172,7 @@ class FlowProcessor:
         expired_records = self.flow_state.expire(now)
         removed = 0
         for record in expired_records:
-            key_bytes = self.flow_lut._live_keys.get(record.flow_id)
+            key_bytes = self.flow_lut.live_key(record.flow_id)
             if key_bytes is not None and self.flow_lut.delete_flow(key_bytes):
                 removed += 1
             if self.event_engine is not None:

@@ -34,6 +34,7 @@ from __future__ import annotations
 import os
 import time
 from contextlib import nullcontext
+from dataclasses import replace
 from itertools import compress
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -646,34 +647,37 @@ class ClusterCoordinator:
         for node in list(self.nodes.values()):
             expired: List[Tuple[bytes, FlowRecord]] = []
             removed += node.run_housekeeping(now_ps, expired)
-            self._mirror_sizings(node.node_id, expired, ended=True)
+            self._mirror_sizings(
+                node.node_id,
+                [(key_bytes, record.packets, record.bytes) for key_bytes, record in expired],
+                ended=True,
+            )
         return removed
 
     def _mirror_sizings(
         self,
         primary_id: str,
-        flows: Iterable[Tuple[bytes, Optional[FlowRecord]]],
+        sizings: Iterable[Tuple[bytes, int, int]],
         ended: bool,
     ) -> None:
         """Mirror flow sizings a primary just recorded into the backup plane.
 
-        Each record sized into ``primary_id``'s flow-size histogram is sized
-        into the key's backup pipeline as well; an ``ended`` (expired)
-        flow's replica copy is dropped in the same step.  After a resync
-        exactly the key's current backup holds a copy, so only the replica
-        set needs touching — and :meth:`backups_of` is empty with
-        replication off or a one-node ring, which makes this a no-op there.
+        Each ``(key_bytes, packets, bytes)`` sized into ``primary_id``'s
+        flow-size histogram is sized into the key's backup pipeline as
+        well; an ``ended`` (expired) flow's replica copy is dropped in the
+        same step.  Only flows with a record are sized (a bare preloaded
+        entry never is), so the callers pass those.  After a resync exactly
+        the key's current backup holds a copy, so only the replica set needs
+        touching — and :meth:`backups_of` is empty with replication off or
+        a one-node ring, which makes this a no-op there.
         """
-        for key_bytes, record in flows:
+        for key_bytes, packets, bytes_ in sizings:
             for backup_id in self.backups_of(key_bytes):
                 backup = self.nodes[backup_id]
                 if ended:
                     backup.replica_flows.drop(key_bytes)
-                # Bare preloaded entries (no record) are never sized.
-                if self.telemetry_enabled and record is not None:
-                    backup.backup_pipeline(primary_id).flow_sizes.observe_flow(
-                        record.packets, record.bytes
-                    )
+                if self.telemetry_enabled:
+                    backup.backup_pipeline(primary_id).flow_sizes.observe_flow(packets, bytes_)
 
     def finalize_telemetry(self) -> int:
         """Close the measurement window on every alive node.
@@ -693,9 +697,9 @@ class ClusterCoordinator:
         added = 0
         for node in list(self.nodes.values()):
             # Capture the sized set first; finalize does not mutate it.
-            pairs = node.engine.live_flow_pairs() if self.replication > 1 else ()
+            sizings = node.engine.live_flow_sizes() if self.replication > 1 else ()
             added += node.finalize_telemetry()
-            self._mirror_sizings(node.node_id, pairs, ended=False)
+            self._mirror_sizings(node.node_id, sizings, ended=False)
         # Closing the measurement window also closes the partial metrics
         # window, so the tail of the stream is observable (and alertable).
         if self.obs is not None and self.obs.windows is not None:
@@ -1107,11 +1111,13 @@ class ClusterCoordinator:
         one source that is always complete, the primaries themselves:
         every live flow is re-seeded onto its current backup (the full
         record supersedes every partial segment; the backup sets come from
-        one column ring walk per node), and every primary's pipeline is
-        deep-copied (:meth:`TelemetryPipeline.copy`) onto one backup
-        host.  Exactness of a later promotion follows from the
-        time-partition argument — full copy as of now, plus whatever the
-        per-key backups mirror afterwards.  Membership changes are rare,
+        one column ring walk per node; the record ``live_flow_pairs`` built
+        goes to the first backup and a copy to each further one), and
+        every primary's pipeline is deep-copied
+        (:meth:`TelemetryPipeline.copy`) onto one backup host.  Exactness
+        of a later promotion follows from the time-partition argument —
+        full copy as of now, plus whatever the per-key backups mirror
+        afterwards.  Membership changes are rare,
         so the O(live flows + pipeline size) rebuild is cheap insurance
         against silently degraded redundancy.
         """
@@ -1132,8 +1138,10 @@ class ClusterCoordinator:
                 keys = [key_bytes for key_bytes, _ in flows]
                 backup_sets = self._backup_sets(b"".join(keys), keys)
                 for (key_bytes, record), backup_ids in zip(flows, backup_sets):
-                    for backup_id in backup_ids:
-                        self.nodes[backup_id].replica_flows.seed(key_bytes, record)
+                    for copies, backup_id in enumerate(backup_ids):
+                        self.nodes[backup_id].replica_flows.seed(
+                            key_bytes, replace(record) if copies else record
+                        )
             if node.pipeline is not None and node.pipeline.packets:
                 hosts = [other for other in self.nodes if other != node.node_id]
                 self.nodes[min(hosts)].backup_pipelines[node.node_id] = node.pipeline.copy()

@@ -91,23 +91,19 @@ class ReplicaStore:
         return mirrored
 
     def seed(self, key_bytes: bytes, record: FlowRecord) -> None:
-        """Install a copy of the primary's full ``record`` (plane resync).
+        """Keep ``record``, the primary's full record of the flow, as this
+        store's copy (plane resync); its ``flow_id`` becomes 0.
 
-        The caller's record keeps living in a flow-state table; the store
-        keeps an independent copy so later replica updates never mutate
-        live primary state.  A full record supersedes anything held for
-        the key, so seeding overwrites — segments only ever meet at
-        *promotion* time (``fail_node``), never here.
+        The store takes the object over: a record a flow-state table hands
+        out is a snapshot, not live primary state, so no copy is made here
+        and later replica updates change only this store's copy — a
+        caller seeding one record into several stores passes each its own
+        copy.  A full record supersedes anything held for the key, so
+        seeding overwrites — segments only ever meet at *promotion* time
+        (``fail_node``), never here.
         """
-        self._records[key_bytes] = FlowRecord(
-            flow_id=0,
-            key=record.key,
-            packets=record.packets,
-            bytes=record.bytes,
-            first_seen_ps=record.first_seen_ps,
-            last_seen_ps=record.last_seen_ps,
-            tcp_flags=record.tcp_flags,
-        )
+        record.flow_id = 0
+        self._records[key_bytes] = record
 
     def clear(self) -> int:
         """Forget every entry (the coordinator is resyncing the plane);

@@ -31,7 +31,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import compress
-from operator import itemgetter
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import FlowLUTConfig
@@ -153,9 +152,10 @@ class FlowTable:
     """The functional Flow LUT: the table the engine and cluster tiers run.
 
     It holds what the device's lookups resolve against — the Hash-CAM
-    table, the live-key map and the optional flow-state table — plus the
-    totals and the bulk probe's steady-state clock, and none of the timed
-    machinery: no simulator, no DLUs or DDR3 controllers, no Update blocks.
+    table, whose key index is the live-key map, and the optional
+    flow-state table — plus the totals and the bulk probe's steady-state
+    clock, and none of the timed machinery: no simulator, no DLUs or DDR3
+    controllers, no Update blocks.
     Installs, deletions and housekeeping are functional; a deletion queues
     no DRAM write.  :class:`FlowLUT` is the paper's device built on it.
 
@@ -182,7 +182,6 @@ class FlowTable:
         self.insert_failures = 0
         self._first_submit_ps: Optional[int] = None
         self._last_complete_ps: int = 0
-        self._live_keys: Dict[int, bytes] = {}
 
     # ------------------------------------------------------------------ #
     # Installs and the columnar bulk probe
@@ -253,7 +252,6 @@ class FlowTable:
         mem2_base = table.buckets_per_memory * table.bucket_entries
         cam_base = table.cam_id_base
         flow_state = self.flow_state
-        live_keys = self._live_keys
         installed = bytearray(count)
         cam_hits = mem1_hits = mem2_hits = 0
         for row, ((key, record), index1, index2) in enumerate(zip(pairs, index1s, index2s)):
@@ -262,7 +260,6 @@ class FlowTable:
                 stage, flow_id, _, _, _ = place(key, index1, index2, index1 & 1, None)
                 if stage is not miss:
                     installed[row] = 1
-                    live_keys[flow_id] = key
                     if record is not None and flow_state is not None:
                         flow_state.adopt(flow_id, record)
                 continue
@@ -357,7 +354,6 @@ class FlowTable:
 
         index_get = table._index.get
         place = table._place
-        live_keys = self._live_keys
         insert_on_miss = self.config.insert_on_miss
         miss = LookupStage.MISS
         cam_stage = LookupStage.CAM
@@ -392,7 +388,6 @@ class FlowTable:
                     flow_id = -1
                 else:
                     new_flows[i] = 1
-                    live_keys[flow_id] = key
                     if stage is cam_stage:
                         cam_placements += 1
             else:
@@ -464,22 +459,26 @@ class FlowTable:
         This is the *engine* representation of the flow identity — the
         descriptor extractor's field packing, which is not necessarily
         :meth:`FlowKey.pack` order — so migration can delete and re-insert
-        exactly the bytes the table stores.
+        exactly the bytes the table stores.  The ID names where the entry
+        lives, so this searches one bucket or the CAM
+        (:meth:`HashCamTable.key_of`).
         """
-        return self._live_keys.get(flow_id)
+        return self.table.key_of(flow_id)
 
     def live_items(self) -> List[Tuple[int, bytes]]:
         """Every live ``(flow_id, key_bytes)`` pair, sorted by flow ID.
 
-        This is the table's live-key map — the engine-side flow identities
+        This is the table's live-key map (:class:`HashCamTable`'s key index,
+        ``key -> flow ID``, turned round) — the engine-side flow identities
         a snapshot must carry so a warm restart can re-install exactly the
         keys the table held (:mod:`repro.persist`).
         """
-        return sorted(self._live_keys.items(), key=itemgetter(0))
+        index = self.table._index
+        return sorted(zip(index.values(), index))
 
     def live_keys(self) -> List[bytes]:
         """Every live key's bytes, in live-key map order (no record built)."""
-        return list(self._live_keys.values())
+        return list(self.table._index)
 
     def live_flow_pairs(self) -> List[Tuple[bytes, Optional["FlowRecord"]]]:
         """Every live ``(key_bytes, record)`` pair of this table.
@@ -491,11 +490,27 @@ class FlowTable:
         both build on it (the codecs pack the same join straight from the
         flow-state columns).  Each record is built here, a snapshot.
         """
+        items = self.live_items()
         state = self.flow_state
         if state is None:
-            return [(key_bytes, None) for _, key_bytes in self.live_items()]
-        get = state.get
-        return [(key_bytes, get(flow_id)) for flow_id, key_bytes in self.live_items()]
+            return [(key_bytes, None) for _, key_bytes in items]
+        records = state.records([flow_id for flow_id, _ in items])
+        return [(key_bytes, record) for (_, key_bytes), record in zip(items, records)]
+
+    def live_flow_sizes(self) -> List[Tuple[bytes, int, int]]:
+        """``(key_bytes, packets, bytes)`` of every live flow that has a
+        record, in :meth:`live_flow_pairs` order — the sizes a flow-size
+        histogram takes, read off two flow-state columns, no record built."""
+        state = self.flow_state
+        if state is None:
+            return []
+        row_of = state.rows.get
+        packets, octets = state.packets, state.octets
+        return [
+            (key_bytes, packets[row], octets[row])
+            for flow_id, key_bytes in self.live_items()
+            if (row := row_of(flow_id)) is not None
+        ]
 
     def live_packet_counts(self) -> Dict[bytes, int]:
         """``{key_bytes: packets}`` for every live flow that has a record.
@@ -513,7 +528,7 @@ class FlowTable:
         packets = state.packets
         return {
             key_bytes: packets[row]
-            for flow_id, key_bytes in self._live_keys.items()
+            for key_bytes, flow_id in self.table._index.items()
             if (row := row_of(flow_id)) is not None
         }
 
@@ -554,7 +569,9 @@ class FlowTable:
         state = self.flow_state
         if state is None:
             return MovedFlows([])
-        live_get = self._live_keys.get
+        table = self.table
+        index = table._index
+        live_get = dict(zip(index.values(), index)).get
         moving = [
             (flow_id, key_bytes)
             for flow_id in state.rows
@@ -567,13 +584,9 @@ class FlowTable:
             keys = list(compress(keys, mask))
         if not keys:
             return MovedFlows([])
-        table = self.table
         index1s, index2s = table.list_hash_indices(keys)
         pairs = list(zip(keys, state.detach_rows([flow_id for flow_id, _ in moving])))
-        pop_live = self._live_keys.pop
-        for flow_id in table.delete_rows(keys, index1s, index2s):
-            if flow_id is not None:
-                pop_live(flow_id, None)
+        table.delete_rows(keys, index1s, index2s)
         return MovedFlows(pairs, (index1s, index2s, table.index_family))
 
     # ------------------------------------------------------------------ #
@@ -585,7 +598,7 @@ class FlowTable:
         return self._remove(key_bytes) is not None
 
     def _remove(self, key_bytes: bytes):
-        """Delete ``key_bytes`` from the table and the live-key map; returns
+        """Delete ``key_bytes`` from the table (and so its key index); returns
         where it lived (a :class:`~repro.core.hash_cam.LookupResult`), or
         ``None`` when it was not there."""
         indices = self.table.hash_indices(key_bytes)
@@ -593,8 +606,6 @@ class FlowTable:
         if not location.found:
             return None
         self.table.delete(key_bytes, indices=indices)
-        if location.flow_id is not None:
-            self._live_keys.pop(location.flow_id, None)
         return location
 
     def run_housekeeping(
@@ -617,7 +628,7 @@ class FlowTable:
         expired = self.flow_state.expire(now_ps)
         removed = 0
         for record in expired:
-            key_bytes = self._live_keys.get(record.flow_id)
+            key_bytes = self.live_key(record.flow_id)
             if key_bytes is None:
                 continue
             if expired_out is not None:
@@ -905,8 +916,6 @@ class FlowLUT(FlowTable):
         if insert.stage in (LookupStage.MEM1, LookupStage.MEM2):
             address = self._bucket_address(insert.bucket)
             self.updates[insert.memory].request_insert(address, job.key)
-        if insert.flow_id is not None:
-            self._live_keys[insert.flow_id] = job.key
         self._finish(job, found=False, stage=insert.stage, flow_id=insert.flow_id, new_flow=True)
 
     # ------------------------------------------------------------------ #

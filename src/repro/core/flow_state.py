@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.net.fivetuple import FLOW_KEY_BYTES, FlowKey
-from repro.net.parser import flow_key_from_engine_key
+from repro.net.parser import engine_key_from_flow_key, flow_key_from_engine_key
 
 
 @dataclass
@@ -76,20 +76,15 @@ class FlowRecord:
         }
 
 
-FlowKeyCell = Union[bytes, FlowKey]
-"""A flow's key as :attr:`FlowStateTable.keys` holds it: the 13-byte engine
-key it arrived with, or its :class:`FlowKey` once one exists."""
-
-
 class FlowRow(NamedTuple):
     """One flow's state as the columns hold it, taken out of a table by
     :meth:`FlowStateTable.detach_rows` — what migration carries to the new
     owner's :meth:`FlowStateTable.adopt` without building a
     :class:`FlowRecord`.  ``flow_id`` is the ID it had where it was taken
-    from; ``key`` is its :data:`FlowKeyCell`."""
+    from; ``key`` is its 13-byte engine key."""
 
     flow_id: int
-    key: FlowKeyCell
+    key: bytes
     packets: int
     octets: int
     first_seen: int
@@ -109,18 +104,18 @@ class FlowStateTable:
     which iteration, :meth:`expire` and the snapshots follow).  Six plain
     lists hold each row's values: :attr:`keys`, :attr:`packets`,
     :attr:`octets`, :attr:`first_seen`, :attr:`last_seen` (both in ps) and
-    :attr:`tcp_flags`.  A key cell (:data:`FlowKeyCell`) is the 13-byte
-    engine key the flow arrived with — the block body stores it as is, so
-    no :class:`FlowKey` is built per flow — or the flow's :class:`FlowKey`,
-    which replaces the bytes the first time a record is built and which a
-    record or a timed-path packet brings in.  Readers index the columns
+    :attr:`tcp_flags`.  A key cell is the flow's 13-byte engine key
+    (:func:`~repro.net.parser.engine_key_from_flow_key` layout): the block
+    body stores the key it probed with as is, so no :class:`FlowKey` is
+    built per flow, and a :class:`FlowKey` brought in by a record or a
+    timed-path packet is packed into that form.  Readers index the columns
     through :attr:`rows`; only this class writes them.  A row freed by
     :meth:`detach`, :meth:`remove` or :meth:`expire` is reused by the next
     flow created.
 
-    A :class:`FlowRecord` is built on demand — :meth:`get`, iteration,
-    :meth:`detach`, :meth:`remove`, :meth:`expire`, :meth:`top_flows` — and
-    is a snapshot of the row.  :meth:`update` and :meth:`update_rows` write
+    A :class:`FlowRecord` is built on demand by :meth:`records` — for
+    :meth:`get`, iteration, :meth:`detach`, :meth:`remove`, :meth:`expire`
+    and :meth:`top_flows` — and is a snapshot of the row.  :meth:`update` and :meth:`update_rows` write
     packets into the columns; :meth:`adopt` and :meth:`fold` take a record
     or a :class:`FlowRow` in.
 
@@ -135,7 +130,7 @@ class FlowStateTable:
             raise ValueError("timeout_us must be positive")
         self.timeout_us = timeout_us
         self.rows: Dict[int, int] = {}
-        self.keys: List[FlowKeyCell] = []
+        self.keys: List[bytes] = []
         self.packets: List[int] = []
         self.octets: List[int] = []
         self.first_seen: List[int] = []
@@ -191,7 +186,7 @@ class FlowStateTable:
     # ------------------------------------------------------------------ #
 
     def _store(
-        self, flow_id: int, key: FlowKeyCell, packets: int, octets: int,
+        self, flow_id: int, key: bytes, packets: int, octets: int,
         first_seen: int, last_seen: int, tcp_flags: int,
     ) -> None:
         """Write one flow's values: over its row when ``flow_id`` is live
@@ -218,31 +213,17 @@ class FlowStateTable:
 
     def _store_record(self, flow_id: int, record: FlowRecord) -> None:
         self._store(
-            flow_id, record.key, record.packets, record.bytes,
+            flow_id, engine_key_from_flow_key(record.key), record.packets, record.bytes,
             record.first_seen_ps, record.last_seen_ps, record.tcp_flags,
         )
 
-    def _record(self, flow_id: int, row: int) -> FlowRecord:
-        """A snapshot of ``row`` as the record of ``flow_id``; the row's key
-        cell keeps the :class:`FlowKey` it took."""
-        key = self.keys[row]
-        if type(key) is bytes:
-            key = self.keys[row] = flow_key_from_engine_key(key)
-        return FlowRecord(
-            flow_id,
-            key,
-            self.packets[row],
-            self.octets[row],
-            self.first_seen[row],
-            self.last_seen[row],
-            self.tcp_flags[row],
-        )
-
-    def _release(self, flow_id: int) -> FlowRecord:
-        """Take a live flow out of the columns; returns its record."""
-        row = self.rows.pop(flow_id)
-        self._free_rows.append(row)
-        return self._record(flow_id, row)
+    def _release(self, flow_ids: Sequence[int]) -> List[FlowRecord]:
+        """Take live flows out of the columns, in order; returns their
+        records."""
+        released = self.records(flow_ids)
+        pop = self.rows.pop
+        self._free_rows.extend([pop(flow_id) for flow_id in flow_ids])
+        return released
 
     # ------------------------------------------------------------------ #
     # Reads
@@ -255,16 +236,31 @@ class FlowStateTable:
         return flow_id in self.rows
 
     def __iter__(self) -> Iterator[FlowRecord]:
-        record = self._record
-        return (record(flow_id, row) for flow_id, row in self.rows.items())
+        return iter(self.records(self.rows))
 
     @property
     def timeout_ps(self) -> int:
         return int(self.timeout_us * 1e6)
 
     def get(self, flow_id: int) -> Optional[FlowRecord]:
-        row = self.rows.get(flow_id)
-        return None if row is None else self._record(flow_id, row)
+        return self.records((flow_id,))[0]
+
+    def records(self, flow_ids: Iterable[int]) -> List[Optional[FlowRecord]]:
+        """:meth:`get` for a column of flow IDs: each live ID's record, built
+        from its row (a snapshot), or ``None`` for an ID that is not live.
+        The one place a record is built."""
+        row_of = self.rows.get
+        key_of = flow_key_from_engine_key
+        keys, packets, octets = self.keys, self.packets, self.octets
+        first_seen, last_seen, tcp_flags = self.first_seen, self.last_seen, self.tcp_flags
+        built: List[Optional[FlowRecord]] = []
+        for flow_id in flow_ids:
+            row = row_of(flow_id)
+            built.append(None if row is None else FlowRecord(
+                flow_id, key_of(keys[row]), packets[row], octets[row],
+                first_seen[row], last_seen[row], tcp_flags[row],
+            ))
+        return built
 
     def sizes(self) -> List[Tuple[int, int]]:
         """``(packets, bytes)`` of every live flow, in record order — the
@@ -287,13 +283,15 @@ class FlowStateTable:
         """Account one packet to ``flow_id``, creating its row if needed.
 
         ``key`` — a :class:`FlowKey` or the flow's 13-byte engine key — is
-        read only when the row is created, and stored as given.  The
-        per-packet entrance of the timed path; a block of rows goes through
-        :meth:`update_rows`.
+        read only when the row is created, and stored as an engine key.
+        The per-packet entrance of the timed path; a block of rows goes
+        through :meth:`update_rows`.
         """
         row = self.rows.get(flow_id)
         if row is None:
-            if not isinstance(key, FlowKey):
+            if isinstance(key, FlowKey):
+                key = engine_key_from_flow_key(key)
+            else:
                 key = bytes(key)
                 if len(key) != FLOW_KEY_BYTES:
                     raise ValueError(f"engine key is {len(key)} bytes, expected {FLOW_KEY_BYTES}")
@@ -384,7 +382,7 @@ class FlowStateTable:
         """Remove and return a record (e.g. on FIN/RST termination)."""
         if flow_id not in self.rows:
             return None
-        record = self._release(flow_id)
+        record = self._release((flow_id,))[0]
         self.exported.append(record)
         return record
 
@@ -395,7 +393,7 @@ class FlowStateTable:
         terminating, so it must not appear in this table's NetFlow export
         stream — it continues accumulating on its new owner.
         """
-        return self._release(flow_id) if flow_id in self.rows else None
+        return self._release((flow_id,))[0] if flow_id in self.rows else None
 
     def detach_rows(self, flow_ids: Sequence[int]) -> List[FlowRow]:
         """:meth:`detach` for a column of live flow IDs, returning each flow's
@@ -465,7 +463,7 @@ class FlowStateTable:
         stale = [
             flow_id for flow_id, row in self.rows.items() if now_ps - last_seen[row] > timeout_ps
         ]
-        removed = [self._release(flow_id) for flow_id in stale]
+        removed = self._release(stale)
         self.exported.extend(removed)
         self.expired += len(removed)
         return removed
@@ -476,7 +474,7 @@ class FlowStateTable:
             raise ValueError("by must be 'bytes' or 'packets'")
         column = self.octets if by == "bytes" else self.packets
         ranked = sorted(self.rows.items(), key=lambda item: column[item[1]], reverse=True)
-        return [self._record(flow_id, row) for flow_id, row in ranked[:count]]
+        return self.records([flow_id for flow_id, _ in ranked[:count]])
 
     def stats(self) -> dict:
         return {

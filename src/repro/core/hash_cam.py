@@ -107,9 +107,6 @@ class HashCamTable:
         # 8-million-entry prototype configuration does not materialise four
         # million empty lists up front.
         self._memories: List[Dict[int, List[TableEntry]]] = [{}, {}]
-        # Per memory, bucket -> K-bit int: bit ``s`` set while a live entry
-        # holds the bucket's slot-``s`` location ID (see ``_place``).
-        self._slot_masks: List[Dict[int, int]] = [{}, {}]
         # key -> flow ID of every stored entry, CAM and both memories.
         self._index: Dict[bytes, int] = {}
         self.cam = BinaryCAM(
@@ -311,25 +308,9 @@ class HashCamTable:
             if entries is None:
                 entries = buckets[bucket] = []
             if len(entries) < capacity:
-                # The lowest *physical* slot no live entry's ID occupies.  The
-                # entry list compacts on deletion (a storage artifact), but
-                # each survivor keeps the ID of the slot it was placed in, so
-                # ``len(entries)`` would hand a live ID out again once a lower
-                # slot was vacated — and a duplicated location ID silently
-                # merges two flows' state.  A bucket is K physical slots; a
-                # new entry takes a free one.  A caller-chosen ID outside this
-                # bucket's range reserves no slot.
-                masks = self._slot_masks[memory]
-                used = masks.get(bucket, 0)
-                slot = (~used & (used + 1)).bit_length() - 1
                 base = (memory * self.buckets_per_memory + bucket) * capacity
-                if flow_id is None:
-                    assigned = base + slot
-                    masks[bucket] = used | (1 << slot)
-                else:
-                    assigned = flow_id
-                    offset = flow_id - base
-                    masks[bucket] = used | (1 << offset if 0 <= offset < capacity else 0)
+                slot = self._free_slot(base, entries) if entries else 0
+                assigned = base + slot if flow_id is None else flow_id
                 entries.append(_new_entry((key, assigned)))
                 self._index[key] = assigned
                 self._occupancy[memory] += 1
@@ -342,26 +323,45 @@ class HashCamTable:
         self.insert_failures += 1
         return LookupStage.MISS, None, None, None, None
 
+    def _free_slot(self, base: int, entries: List[TableEntry]) -> int:
+        """The lowest *physical* slot of a bucket no live entry's ID occupies
+        (``base`` is the bucket's slot-0 location ID).
+
+        The entry list compacts on deletion (a storage artifact), but each
+        survivor keeps the flow ID of the physical slot it was placed in.
+        Assigning the next insert ``len(entries)`` would re-issue a live
+        entry's ID whenever a lower slot was vacated — and a duplicated
+        location ID silently overwrites that flow's state on adoption.  The
+        hardware has no such failure: a bucket is K physical slots and a new
+        entry takes a *free* one, which is what this models.  IDs supplied by
+        the caller (``flow_id=...``) outside this bucket's location range
+        don't reserve a slot.
+        """
+        capacity = self.bucket_entries
+        used = 0
+        for entry in entries:
+            offset = entry.flow_id - base
+            if 0 <= offset < capacity:
+                used |= 1 << offset
+        slot = (~used & (used + 1)).bit_length() - 1
+        if slot >= capacity:
+            raise RuntimeError("bucket reported free space but every slot ID is live")
+        return slot
+
     def _unplace(self, memory: int, bucket: int, entries: List[TableEntry], slot: int) -> None:
         """Remove ``entries[slot]`` (the list stored at ``(memory, bucket)``)
-        from the bucket, its slot mask and the key index."""
-        entry = entries.pop(slot)
-        del self._index[entry.key]
-        masks = self._slot_masks[memory]
-        offset = entry.flow_id - (memory * self.buckets_per_memory + bucket) * self.bucket_entries
-        if 0 <= offset < self.bucket_entries:
-            masks[bucket] &= ~(1 << offset)
+        from the bucket and the key index."""
+        del self._index[entries.pop(slot).key]
         if not entries:
             del self._memories[memory][bucket]
-            del masks[bucket]
         self._occupancy[memory] -= 1
 
     def _free_cam_id(self) -> Optional[int]:
         """The lowest CAM-range flow ID not held by a live CAM entry.
 
         ``cam_id_base + occupancy`` would re-issue a live entry's ID after
-        any CAM deletion (the aliasing :meth:`_place` avoids in a bucket, in
-        the overflow stage).  The CAM is small, so scanning its live values
+        any CAM deletion (the same aliasing as :meth:`_free_slot`, in the
+        overflow stage).  The CAM is small, so scanning its live values
         is cheap.  Returns ``None`` when every CAM slot ID is taken — the CAM
         is full and the insert is about to fail anyway.
         """
@@ -440,6 +440,25 @@ class HashCamTable:
         for stage, hits in zip(LookupStage, stage_counts):
             self.stage_hits[stage] += hits
         return flow_ids
+
+    def key_of(self, flow_id: int) -> Optional[bytes]:
+        """The stored key whose entry holds location-derived ``flow_id``
+        (``None`` when no entry does).  The ID names its memory and bucket,
+        or the CAM, so one bucket or the CAM is searched; it counts no
+        lookup.  The inverse of the key index for the IDs :meth:`insert`
+        assigns (an ID a caller chose is not found by location)."""
+        if flow_id >= self.cam_id_base:
+            for key, value in self.cam:
+                if int(value) == flow_id:
+                    return key
+            return None
+        if flow_id < 0:
+            return None
+        memory, bucket = divmod(flow_id // self.bucket_entries, self.buckets_per_memory)
+        for entry in self._memories[memory].get(bucket, ()):
+            if entry.flow_id == flow_id:
+                return entry.key
+        return None
 
     def __contains__(self, key: bytes) -> bool:
         return self.lookup(key).found

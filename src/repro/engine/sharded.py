@@ -419,6 +419,12 @@ class ShardedFlowLUT:
             pairs.extend(shard.live_flow_pairs())
         return pairs
 
+    def live_flow_sizes(self) -> List[Tuple[bytes, int, int]]:
+        """``(engine_key_bytes, packets, bytes)`` of every live flow with a
+        record, shard by shard in :meth:`live_flow_pairs` order, no record
+        built (:meth:`FlowTable.live_flow_sizes`)."""
+        return [sizing for shard in self.shards for sizing in shard.live_flow_sizes()]
+
     def live_keys(self) -> List[bytes]:
         """Every live engine key across all shards, shard by shard — the keys
         of :meth:`live_flow_pairs` without building a record."""

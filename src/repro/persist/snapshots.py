@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.flow_lut import FlowTable
 from repro.core.flow_state import FlowRecord, FlowStateTable
@@ -461,23 +461,14 @@ present flag (1), then the record laid out as :data:`_RECORD`."""
 
 _ENTRY_FROM_COLUMNS = struct.Struct(f"<I{FLOW_KEY_BYTES}sBQI4s4s2s2sBQQQQH")
 """:data:`_ENTRY` with the record key as its five big-endian fields taken
-apart, so it is packed straight from a flow-state key cell holding an
-engine key (dst, src, dst port, src port, protocol), whose address and port
-halves :meth:`FlowKey.pack` order swaps — the same bytes :data:`_ENTRY`
-writes."""
+apart, so it is packed straight from a flow-state key cell — an engine key
+(dst, src, dst port, src port, protocol), whose address and port halves
+:meth:`FlowKey.pack` order swaps.  The same bytes :data:`_ENTRY` holds."""
 
 
 def _write_entry(writer: ByteWriter, key_bytes: bytes, record: Optional[FlowRecord]) -> None:
-    if record is not None and len(key_bytes) == FLOW_KEY_BYTES:
-        writer.raw(
-            _ENTRY.pack(
-                FLOW_KEY_BYTES, key_bytes, 1,
-                record.flow_id, FLOW_KEY_BYTES, record.key.pack(), record.packets,
-                record.bytes, record.first_seen_ps, record.last_seen_ps, record.tcp_flags,
-            )
-        )
-        return
-    # Preloaded keys (no record) and keys of another width: field by field.
+    """One entry field by field: a preloaded key (no record) or a key of
+    another width than the engine key's."""
     writer.blob(key_bytes)
     if record is None:
         writer.u8(0)
@@ -486,28 +477,18 @@ def _write_entry(writer: ByteWriter, key_bytes: bytes, record: Optional[FlowReco
         _write_record(writer, record)
 
 
-def _write_pairs(writer: ByteWriter, entries: List[FlowEntry]) -> None:
-    writer.u32(len(entries))
-    for key_bytes, record in entries:
-        _write_entry(writer, key_bytes, record)
+def _write_entries(writer: ByteWriter, tables: Sequence[FlowTable]) -> None:
+    """Write the live flows of ``tables`` — one flow table, or a sharded
+    engine's shards in order — each table's in :meth:`FlowTable.live_items`
+    order, as :func:`_read_entries` reads them back.
 
-
-def _write_entries(writer: ByteWriter, engine) -> None:
-    """Write the live flows of ``engine`` — a flow table or sharded engine —
-    as :func:`_write_pairs` writes its ``live_flow_pairs()``.
-
-    The rows with a record and a 13-byte key are packed straight from the
-    flow-state columns, so no record is built.  An engine that is neither
-    (a duck-typed stand-in with only ``live_flow_pairs``) is written from
-    its pairs.
+    A flow with a record and a 13-byte key is packed straight from the
+    flow-state columns as one :data:`_ENTRY_FROM_COLUMNS`, so no record is
+    built; other entries are written field by field.
     """
-    tables = [engine] if isinstance(engine, FlowTable) else getattr(engine, "shards", None)
-    if tables is None:
-        _write_pairs(writer, engine.live_flow_pairs())
-        return
     lives = [table.live_items() for table in tables]
     writer.u32(sum(map(len, lives)))
-    pack, pack_engine = _ENTRY.pack, _ENTRY_FROM_COLUMNS.pack
+    pack = _ENTRY_FROM_COLUMNS.pack
     for table, live in zip(tables, lives):
         state = table.flow_state
         if state is None:
@@ -526,27 +507,18 @@ def _write_entries(writer: ByteWriter, engine) -> None:
                 _write_entry(writer, key_bytes, None if row is None else state.get(flow_id))
                 continue
             key = keys[row]
-            if type(key) is bytes:
-                # An engine key: the record key is its address and port
-                # halves swapped.
-                chunks.append(pack_engine(
-                    FLOW_KEY_BYTES, key_bytes, 1,
-                    flow_id, FLOW_KEY_BYTES, key[4:8], key[:4], key[10:12], key[8:10], key[12],
-                    packets[row], octets[row], first_seen[row], last_seen[row], tcp_flags[row],
-                ))
-            else:
-                chunks.append(pack(
-                    FLOW_KEY_BYTES, key_bytes, 1,
-                    flow_id, FLOW_KEY_BYTES, key.pack(),
-                    packets[row], octets[row], first_seen[row], last_seen[row], tcp_flags[row],
-                ))
+            chunks.append(pack(
+                FLOW_KEY_BYTES, key_bytes, 1,
+                flow_id, FLOW_KEY_BYTES, key[4:8], key[:4], key[10:12], key[8:10], key[12],
+                packets[row], octets[row], first_seen[row], last_seen[row], tcp_flags[row],
+            ))
         writer.raw(b"".join(chunks))
 
 
 def _read_entries(reader: ByteReader) -> List[FlowEntry]:
-    """The entries :func:`_write_entries` / :func:`_write_pairs` wrote.  A
-    run of 13-byte keys with records is decoded one :data:`_ENTRY` per
-    entry; bare entries and keys of another width are read field by field."""
+    """The entries :func:`_write_entries` wrote.  A run of 13-byte keys with
+    records is decoded one :data:`_ENTRY` per entry; bare entries and keys
+    of another width are read field by field."""
     entries: List[FlowEntry] = []
     peek, skip, size = reader.peek, reader.skip, _ENTRY.size
     for _ in range(reader.u32()):
@@ -576,7 +548,7 @@ def dump_flow_lut(lut: FlowTable) -> bytes:
     a timed :class:`~repro.core.flow_lut.FlowLUT` is one too."""
     writer = ByteWriter()
     writer.i64(lut.config.seed).u32(lut.table.buckets_per_memory)
-    _write_entries(writer, lut)
+    _write_entries(writer, [lut])
     return pack_frame(MAGIC_FLOW_LUT, 1, writer.getvalue())
 
 
@@ -596,7 +568,7 @@ def dump_sharded(engine: ShardedFlowLUT) -> bytes:
     writer = ByteWriter()
     writer.u32(engine.num_shards)
     writer.i64(engine.config.seed).u32(engine.shards[0].table.buckets_per_memory)
-    _write_entries(writer, engine)
+    _write_entries(writer, engine.shards)
     return pack_frame(MAGIC_SHARDED, 1, writer.getvalue())
 
 
@@ -709,7 +681,7 @@ def dump_node_snapshot(node, obs=None) -> bytes:
 
     ``node`` is a :class:`~repro.cluster.node.ClusterNode` (duck-typed:
     anything with ``node_id`` / ``engine`` / ``pipeline`` / ``completed``
-    works).  The checkpoint is self-contained — restoring needs no access
+    works, ``engine.shards`` being its flow tables).  The checkpoint is self-contained — restoring needs no access
     to the node that produced it, which is the point: the node may be gone.
 
     ``obs`` (a :class:`~repro.obs.metrics.MetricsRegistry`) records the
@@ -725,7 +697,7 @@ def dump_node_snapshot(node, obs=None) -> bytes:
     else:
         writer.u8(1)
         writer.blob(dumps(pipeline))
-    _write_entries(writer, node.engine)
+    _write_entries(writer, node.engine.shards)
     frame = pack_frame(MAGIC_NODE, 1, writer.getvalue())
     if obs is not None:
         _record_persist_obs(obs, "dump", "node", obs.clock() - start, len(frame))

@@ -94,7 +94,6 @@ def reference_process_block(lut, block, hash_columns=None):
                         stages[i] = STAGE_CODES[insert.stage]
                         new_total += 1
                         flow_id = insert.flow_id
-                        lut._live_keys[insert.flow_id] = key
         flow_ids.append(flow_id)
         if flow_state is not None and flow_id >= 0:
             flow_state.update(

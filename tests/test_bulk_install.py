@@ -3,8 +3,10 @@
 ``FlowTable.install`` hashes the keys as one column and probes/places them
 in order; before it, ``preload`` / ``restore_flow`` / the snapshot restore
 each ran ``HashCamTable.insert`` once per key.  That per-key code is kept
-here verbatim as the reference (``reference_preload``,
-``reference_restore_flow``, ``reference_install_entries``), and random call
+here as the reference (``reference_preload``, ``reference_restore_flow``,
+``reference_install_entries``; verbatim but for the writes to the table's
+old live-key dict, whose part the key index ``insert`` keeps now plays),
+and random call
 sequences — duplicate keys within one call, keys already present (fold),
 bare ``None`` records, CAM overflow, a full table refusing inserts, keys of
 several widths in one call — must leave a bulk-installed table and a
@@ -59,7 +61,7 @@ calls = st.lists(
 
 
 # --------------------------------------------------------------------------- #
-# The per-key install loop, verbatim from before the bulk body
+# The per-key install loop from before the bulk body
 # --------------------------------------------------------------------------- #
 
 
@@ -70,8 +72,6 @@ def reference_preload(self, keys) -> int:
         result = self.table.insert(key_bytes)
         if result.inserted:
             inserted += 1
-            if result.flow_id is not None:
-                self._live_keys[result.flow_id] = key_bytes
     return inserted
 
 
@@ -90,7 +90,6 @@ def reference_restore_flow(self, record, key_bytes=None) -> bool:
     if not result.inserted:
         return False
     if result.flow_id is not None:
-        self._live_keys[result.flow_id] = key_bytes
         if self.flow_state is not None:
             self.flow_state.adopt(result.flow_id, record)
     return True
@@ -140,7 +139,7 @@ def observable(lut):
             for memory in table._memories
         ],
         "occupancy": list(table._occupancy),
-        "live_keys": list(lut._live_keys.items()),
+        "live_keys": list(table._index.items()),
         "records": None if state is None else [
             (r.flow_id, r.key, r.packets, r.bytes, r.first_seen_ps, r.last_seen_ps, r.tcp_flags)
             for r in state
@@ -162,7 +161,7 @@ def assert_python_ints(lut):
             assert type(bucket) is int
             for entry in entries:
                 assert type(entry.flow_id) is int
-    for flow_id in lut._live_keys:
+    for flow_id in table._index.values():
         assert type(flow_id) is int
     if lut.flow_state is not None:
         for record in lut.flow_state:

@@ -7,8 +7,8 @@ interleavings of the operations that create, move and remove entries —
 ``process_block``, migration out (``detach`` + ``delete_flow``, and the
 bulk ``extract_flows``), migration in (``restore_flow``) and
 ``run_housekeeping`` — against a plain dict of ``key -> flow ID``, and
-holds the table's key index and per-bucket slot masks to its CAM and
-bucket contents after every rule, on tables small enough to overflow into
+holds the table's key index to its CAM and bucket contents after every
+rule, on tables small enough to overflow into
 the CAM and to refuse inserts, on both column backends.  The machine drives a
 :class:`~repro.core.flow_lut.FlowTable`, the class every engine shard is.
 """
@@ -152,17 +152,13 @@ class FlowTableMachine(RuleBasedStateMachine):
         assert sorted(stored) == sorted(self.ids.items())
 
     @invariant()
-    def the_key_index_and_slot_masks_are_the_table_contents(self):
+    def the_key_index_is_the_table_contents(self):
         # The index process_block and install resolve keys with must be
-        # exactly the CAM plus both memories' buckets, and each bucket's
-        # occupancy int exactly the slots its live entries' IDs hold.
+        # exactly the CAM plus both memories' buckets.
         table = self.lut.table
         stored = dict(table.cam)
-        for memory, (buckets, masks) in enumerate(zip(table._memories, table._slot_masks)):
-            assert sorted(masks) == sorted(buckets)
-            for bucket, entries in buckets.items():
-                base = table.location_flow_id(memory, bucket, 0)
-                assert masks[bucket] == sum(1 << (entry.flow_id - base) for entry in entries)
+        for buckets in table._memories:
+            for entries in buckets.values():
                 stored.update(entries)
         assert table._index == stored
 

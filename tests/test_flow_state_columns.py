@@ -109,11 +109,6 @@ KEYS = [
 ]
 
 
-def _flow_key(cell) -> FlowKey:
-    """A key cell (engine-key bytes or a FlowKey) as its FlowKey."""
-    return flow_key_from_engine_key(cell) if isinstance(cell, bytes) else cell
-
-
 def _random_record(rng: random.Random, now: int) -> FlowRecord:
     first = max(0, now - rng.randrange(2_000_000))
     return FlowRecord(
@@ -163,9 +158,8 @@ def _step(rng: random.Random, table: FlowStateTable, reference, now: int) -> int
     elif op == "adopt_row":
         flow_id = rng.randrange(POOL)
         record = _random_record(rng, now)
-        cell = rng.choice((record.key, engine_key_from_flow_key(record.key)))
         row = FlowRow(
-            rng.randrange(1000), cell, record.packets, record.bytes,
+            rng.randrange(1000), engine_key_from_flow_key(record.key), record.packets, record.bytes,
             record.first_seen_ps, record.last_seen_ps, record.tcp_flags,
         )
         table.adopt(flow_id, row)
@@ -194,7 +188,7 @@ def _step(rng: random.Random, table: FlowStateTable, reference, now: int) -> int
                 expected.packets, expected.bytes, expected.first_seen_ps,
                 expected.last_seen_ps, expected.tcp_flags,
             )
-            assert _flow_key(row.key) == expected.key
+            assert row.key == engine_key_from_flow_key(expected.key)
     elif op == "remove":
         flow_id = rng.randrange(POOL)
         assert table.remove(flow_id) == reference.remove(flow_id)
@@ -214,6 +208,10 @@ def _assert_same(table: FlowStateTable, reference) -> None:
         assert table.get(flow_id) == reference.get(flow_id)
         assert (flow_id in table) == (reference.get(flow_id) is not None)
     assert len(table) == len(table.rows)
+    # The key column holds engine keys only, whatever form a key came in as.
+    for flow_id, row in table.rows.items():
+        key = table.keys[row]
+        assert type(key) is bytes and flow_key_from_engine_key(key) == reference.get(flow_id).key
     # Freed rows are reused: the columns never outgrow the most flows live at once.
     assert len(table.packets) <= POOL
 

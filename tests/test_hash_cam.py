@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import small_test_config
-from repro.core.hash_cam import HashCamTable, LookupStage
+from repro.core.hash_cam import HashCamTable, LookupStage, TableEntry
 
 
 def make_table(**overrides):
@@ -131,6 +131,31 @@ def test_explicit_flow_id_is_respected():
     result = table.insert(b"\x66" * 13, flow_id=123456)
     assert result.flow_id == 123456
     assert table.lookup(b"\x66" * 13).flow_id == 123456
+
+
+def test_key_of_inverts_the_key_index_across_stages():
+    # A table small enough to overflow into the CAM; some deletions leave
+    # holes in buckets and the CAM.
+    table = make_table(num_flows=64, cam_entries=8)
+    stored = [key for key in keys(80) if table.insert(key).inserted]
+    for key in stored[::3]:
+        assert table.delete(key)
+    assert any(flow_id >= table.cam_id_base for flow_id in table._index.values())
+    for key, flow_id in table._index.items():
+        assert table.key_of(flow_id) == key
+    held = set(table._index.values())
+    for flow_id in range(-1, table.cam_id_base + table.cam.capacity + 1):
+        if flow_id not in held:
+            assert table.key_of(flow_id) is None
+
+
+def test_a_bucket_with_every_slot_id_live_refuses_to_hand_one_out():
+    table = make_table(bucket_entries=2)
+    entries = [TableEntry(b"\x01" * 13, 10), TableEntry(b"\x02" * 13, 11)]
+    with pytest.raises(RuntimeError, match="every slot ID is live"):
+        table._free_slot(10, entries)
+    # An ID a caller chose outside the bucket's range reserves no slot.
+    assert table._free_slot(10, [TableEntry(b"\x01" * 13, 999), entries[1]]) == 0
 
 
 def test_location_flow_ids_are_unique():

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.columns import DescriptorBlock
 from repro.core.config import small_test_config
 from repro.core.flow_lut import FlowLUT
 from repro.core.flow_state import FlowRecord, FlowStateTable
@@ -212,6 +213,28 @@ def test_node_snapshot_round_trips_through_loads():
     assert dumps(node)[:4] == dump_node_snapshot(node)[:4]
 
 
+def test_frames_taken_straight_after_ingest_carry_every_record(each_backend):
+    # The writer packs each record, key included, from the flow-state columns
+    # the block body filled; no record of these flows exists before the dump.
+    from repro.cluster import ClusterNode
+
+    descriptors = scenario_descriptors("node_failover", 300, seed=8)
+    for _, context in each_backend():
+        with context:
+            node = ClusterNode("n0", config=CONFIG, telemetry_seed=8)
+            node.process_batch(descriptors)
+            flows = load_node_snapshot(dump_node_snapshot(node)).flows
+            assert flows == node.engine.live_flow_pairs()
+            assert all(record is not None for _, record in flows)
+            assert {record.key for _, record in flows} == {d.key for d in descriptors}
+
+            lut = FlowLUT(CONFIG, flow_state=FlowStateTable())
+            lut.process_block(DescriptorBlock.from_descriptors(descriptors))
+            entries = loads(dump_flow_lut(lut)).entries
+            assert entries == lut.live_flow_pairs()
+            assert len(entries) == len({d.key for d in descriptors})
+
+
 # --------------------------------------------------------------------------- #
 # Golden bytes: the flow-record wire layout
 # --------------------------------------------------------------------------- #
@@ -286,7 +309,8 @@ def test_out_of_range_record_fields_are_refused_not_truncated():
 # A node checkpoint whose entries mix the four kinds ``_write_entries`` meets:
 # a 13-byte key with a record, a key with no record (preloaded), a key of
 # another width, and all-ones field values.  Recorded when every entry was
-# written field by field; entries are now one ``Struct`` each where they can be.
+# written field by field from ``FlowRecord`` s; entries with a record and a
+# 13-byte key are now packed from the flow-state columns, record key included.
 GOLDEN_NODE = (
     "524e4f4401000d0100008ab1626e06000000676f6c64656effffffffffffffff00050000000d000000000102"
     "030405060708090a0b0c0107000000000000000d0000000a000001c0a8010904d20050060300000000000000"
@@ -309,10 +333,21 @@ def _golden_node_entries():
     ]
 
 
+def _golden_node_table():
+    """A flow table's two reads the checkpoint writer makes — ``live_items``
+    and a real flow-state table — holding :func:`_golden_node_entries`
+    (flow IDs 1 and 2 have no record)."""
+    records = _golden_records()
+    state = FlowStateTable.from_state(timeout_us=15.0, records=records, exported=[])
+    flow_ids = [records[0].flow_id, 1, records[1].flow_id, records[2].flow_id, 2]
+    live = [(flow_id, key) for flow_id, (key, _) in zip(flow_ids, _golden_node_entries())]
+    return SimpleNamespace(live_items=lambda: live, flow_state=state)
+
+
 def test_node_checkpoint_frame_is_the_recorded_bytes():
     node = SimpleNamespace(
         node_id="golden", completed=2**64 - 1, pipeline=None,
-        engine=SimpleNamespace(live_flow_pairs=_golden_node_entries),
+        engine=SimpleNamespace(shards=[_golden_node_table()]),
     )
     assert dump_node_snapshot(node).hex() == GOLDEN_NODE
     snapshot = load_node_snapshot(bytes.fromhex(GOLDEN_NODE))

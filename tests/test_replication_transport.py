@@ -5,7 +5,9 @@ The replication plane used to explode every primary ``OutcomeBlock`` into
 walk per key, mirror them into the ``ReplicaStore`` one outcome at a time and
 re-pack and re-hash them in every backup pipeline.  That transport is kept
 here, verbatim, as the reference (``reference_*`` below, together with the
-per-key resync and sizing mirror it ran beside).  ``ListTransportCoordinator``
+per-key resync and sizing mirror it ran beside; those two follow the
+coordinator's hooks: sizings arrive as ``(key, packets, bytes)`` and a
+seeded record is handed over, so each store is seeded with its own copy).  ``ListTransportCoordinator``
 plugs it into an otherwise unchanged coordinator, and both fleets are driven
 over the same history — ingest, 40 pins, a join, an expiry pass, a failover,
 a window close — on every column backend and executor.  Every backup
@@ -20,7 +22,7 @@ end.
 from __future__ import annotations
 
 import pickle
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from typing import Dict, List, Sequence
 
 import pytest
@@ -119,16 +121,14 @@ class ListTransportCoordinator(ClusterCoordinator):
             if self.obs is not None:
                 self._obs_replicated.inc(len(group))
 
-    def _mirror_sizings(self, primary_id, flows, ended) -> None:
-        for key_bytes, record in flows:
+    def _mirror_sizings(self, primary_id, sizings, ended) -> None:
+        for key_bytes, packets, bytes_ in sizings:
             for backup_id in self.backups_of(key_bytes):
                 backup = self.nodes[backup_id]
                 if ended:
                     backup.replica_flows.drop(key_bytes)
-                if self.telemetry_enabled and record is not None:
-                    backup.backup_pipeline(primary_id).flow_sizes.observe_flow(
-                        record.packets, record.bytes
-                    )
+                if self.telemetry_enabled:
+                    backup.backup_pipeline(primary_id).flow_sizes.observe_flow(packets, bytes_)
 
     def _resync_replication_plane(self) -> None:
         if self.replication <= 1:
@@ -143,7 +143,7 @@ class ListTransportCoordinator(ClusterCoordinator):
                 if record is None:
                     continue
                 for backup_id in self.backups_of(key_bytes):
-                    self.nodes[backup_id].replica_flows.seed(key_bytes, record)
+                    self.nodes[backup_id].replica_flows.seed(key_bytes, replace(record))
             if node.pipeline is not None and node.pipeline.packets:
                 hosts = [other for other in self.nodes if other != node.node_id]
                 self.nodes[min(hosts)].backup_pipelines[node.node_id] = loads(
